@@ -6,17 +6,11 @@ unmodeled drift, and analytically solved safety-filter QPs.
 """
 
 from .barrier import (
-    Barrier,
     BarrierChain,
-    BarrierRd1,
     ConstraintCoeffs,
     chain_s_eval,
-    constraint_rd1,
     constraint_rdr,
-    epsilon_bound_rd1,
     epsilon_bound_rdr,
-    h0_eval,
-    h_eps_eval,
     skm_eval,
 )
 from .cli import apply_overrides, emit_csv, emit_plot, main, parse_config, run_preset
@@ -33,14 +27,11 @@ from .integrator import IntegrationError, OdeProblem, integrate, rk4_step, time_
 from .observer import (
     EeqObserver,
     ErrorBoundModel,
-    error_bound,
-    eval_observer_rhs,
-    interval_bound,
     make_luenberger,
     make_rossler_observer,
 )
 from .presets import PRESET_NAMES, ExperimentPreset, make_preset
-from .qp import QpResult, solve_boxed_qp, solve_halfspace_qp
+from .qp import QpResult, solve_halfspace_qp
 from .simloop import (
     RunError,
     SafetyReport,
@@ -56,9 +47,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdaptiveState",
-    "Barrier",
     "BarrierChain",
-    "BarrierRd1",
     "ConstraintCoeffs",
     "ControlAffineSystem",
     "EeqObserver",
@@ -79,22 +68,15 @@ __all__ = [
     "basis_row",
     "chain_s_eval",
     "compute_epsilon_bound",
-    "constraint_rd1",
     "constraint_rdr",
     "emit_csv",
     "emit_plot",
-    "epsilon_bound_rd1",
     "epsilon_bound_rdr",
-    "error_bound",
     "eval_drift",
     "eval_input_matrix",
-    "eval_observer_rhs",
     "eval_output",
     "fat_eval",
-    "h0_eval",
-    "h_eps_eval",
     "integrate",
-    "interval_bound",
     "main",
     "make_example1_system",
     "make_luenberger",
@@ -108,7 +90,6 @@ __all__ = [
     "run_simulation",
     "safety_report",
     "skm_eval",
-    "solve_boxed_qp",
     "solve_halfspace_qp",
     "time_grid",
 ]

@@ -1,24 +1,24 @@
 """Barrier bookkeeping and assembly of the safety constraint.
 
-For a relative-degree-1 barrier h the controller can only see the estimate
-xhat, so safety is enforced on the deflated value
+A barrier h of relative degree r is lifted through the chain
 
-    h0(xhat, t) = h(xhat) - L M(t),      h_eps = h0 - epsilon,
+    s_0 = h,   s_k = (d/dt + lambda_k) s_{k-1},   k = 1..r-1,
 
-where L is a Lipschitz constant of h and M(t) the estimation-error bound:
-h0 >= 0 at the estimate implies h >= 0 at the true state whenever the
-error bound holds. Higher relative degree r is reduced to the same shape
-through the chain s_0 = h, s_k = (d/dt + lambda_k) s_{k-1}, deflated per
-level by its own Lipschitz constant L_k.
+and r = 1 is the plain barrier (s_0 = h, no roots). The controller can
+only see the estimate xhat, so each level is deflated by its own Lipschitz
+constant L_k and the error bound M(t):
 
-The final product is a single linear inequality a . u + b >= 0 handed to
-the QP module.
+    s_k^M(xhat, t) = s_k(xhat) - L_k M(t),      h_eps = s_{r-1}^M - epsilon.
+
+s_k^M >= 0 at the estimate implies s_k >= 0 at the true state whenever the
+error bound holds. The final product is a single linear inequality
+a . u + b >= 0 on the top level s_{r-1}, handed to the QP module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,31 +30,14 @@ Vector = np.ndarray
 
 
 @dataclass(frozen=True)
-class BarrierRd1:
-    """Safe-set function h with gradient and a Lipschitz constant L.
-
-    L must dominate ||grad_h|| on the operating region; the presets use
-    exact values for their linear barriers.
-    """
-
-    h: Callable[[Vector], float]
-    grad_h: Callable[[Vector], Vector]
-    L: float
-
-    def __post_init__(self) -> None:
-        if not self.L > 0:
-            raise ValueError("L must be > 0")
-
-
-@dataclass(frozen=True)
 class BarrierChain:
     """Lifted chain s_0..s_{r-1} for a barrier of relative degree r.
 
     lam holds the r-1 chain roots lambda_1..lambda_{r-1} (the final root is
     absorbed by the constraint's mu). L_k holds one Lipschitz constant per
-    level. Chains are supplied explicitly, hand-derived; nothing symbolic.
-    r = 1 is permitted as the degenerate chain (s_0 = h, no roots), which
-    must behave exactly like the BarrierRd1 path.
+    level; each must dominate ||grad_s_k|| on the operating region (the
+    presets use exact values for their linear levels). Chains are supplied
+    explicitly, hand-derived; nothing symbolic.
     """
 
     r: int
@@ -77,8 +60,15 @@ class BarrierChain:
         if any(not l > 0 for l in self.L_k):
             raise ValueError("all L_k must be > 0")
 
-
-Barrier = Union[BarrierRd1, BarrierChain]
+    @classmethod
+    def rd1(
+        cls,
+        h: Callable[[Vector], float],
+        grad_h: Callable[[Vector], Vector],
+        L: float,
+    ) -> "BarrierChain":
+        """The relative-degree-1 barrier h with gradient grad_h and Lipschitz constant L."""
+        return cls(r=1, s=(h,), grad_s=(grad_h,), lam=(), L_k=(L,))
 
 
 @dataclass(frozen=True)
@@ -90,16 +80,6 @@ class ConstraintCoeffs:
 
     def residual(self, u: Vector) -> float:
         return float(self.a @ u + self.b)
-
-
-def h0_eval(bar: BarrierRd1, xhat: Vector, t: float, bound: ErrorBoundModel) -> float:
-    """h(xhat) - L M(t)."""
-    return float(bar.h(np.asarray(xhat, dtype=float))) - bar.L * float(bound.value(t))
-
-
-def h_eps_eval(bar: BarrierRd1, xhat: Vector, t: float, bound: ErrorBoundModel, epsilon: float) -> float:
-    """h0(xhat, t) - epsilon."""
-    return h0_eval(bar, xhat, t, bound) - epsilon
 
 
 def chain_s_eval(chain: BarrierChain, k: int, x: Vector) -> float:
@@ -119,43 +99,36 @@ def _epsilon_denominator(state0: AdaptiveState, cfg: FatConfig) -> float:
     return float(cfg.N + np.sum(2.0 * norms / state0.theta_bar + norms ** 2 / state0.theta_bar ** 2))
 
 
-def epsilon_bound_rd1(
-    bar: BarrierRd1, xhat0: Vector, bound: ErrorBoundModel,
+def epsilon_bound_rdr(
+    chain: BarrierChain, xhat0: Vector, bound: ErrorBoundModel,
     state0: AdaptiveState, cfg: FatConfig,
 ) -> float:
-    """Largest epsilon admitted by the initial data, h0(xhat0, 0) / denom.
+    """Largest epsilon admitted by the initial data: min_k s_k^M(xhat0, 0) / denom.
 
     Any epsilon in (0, bound] is admissible. A non-positive return means no
     feasible epsilon exists for this initial state; callers flag it rather
     than this function raising.
     """
-    return h0_eval(bar, xhat0, 0.0, bound) / _epsilon_denominator(state0, cfg)
-
-
-def epsilon_bound_rdr(
-    chain: BarrierChain, xhat0: Vector, bound: ErrorBoundModel,
-    state0: AdaptiveState, cfg: FatConfig,
-) -> float:
-    """Chain version: min over levels of s_k^M(xhat0, 0), same denominator."""
     worst = min(skm_eval(chain, k, xhat0, 0.0, bound) for k in range(chain.r))
     return worst / _epsilon_denominator(state0, cfg)
 
 
-def _assemble(
-    h_fn: Callable[[Vector], float],
-    grad_fn: Callable[[Vector], Vector],
-    L: float,
-    sys: ControlAffineSystem,
-    xhat: Vector,
-    t: float,
-    bound: ErrorBoundModel,
-    state: AdaptiveState,
-    cfg: FatConfig,
+def constraint_rdr(
+    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, t: float,
+    bound: ErrorBoundModel, state: AdaptiveState, cfg: FatConfig,
 ) -> ConstraintCoeffs:
+    """Constraint row on the top chain level s = s_{r-1} with constant L = L_{r-1}.
+
+    a = grad_s . g.  b collects the drift and series terms along grad_s,
+    the bound's drift -L dM/dt, the residual margin -||grad_s|| E, and the
+    zeroing terms mu h_eps - mu N epsilon.
+    """
+    top = chain.r - 1
+    L = chain.L_k[top]
     xhat = np.asarray(xhat, dtype=float)
-    grad = np.asarray(grad_fn(xhat), dtype=float)
+    grad = np.asarray(chain.grad_s[top](xhat), dtype=float)
     a = grad @ eval_input_matrix(sys, xhat)
-    deflated = float(h_fn(xhat)) - L * float(bound.value(t)) - state.epsilon
+    deflated = float(chain.s[top](xhat)) - L * float(bound.value(t)) - state.epsilon
     b = (
         grad @ (eval_drift(sys, xhat) + fat_eval(state, cfg, t))
         - L * float(bound.derivative(t))
@@ -164,25 +137,3 @@ def _assemble(
         - state.mu * cfg.N * state.epsilon
     )
     return ConstraintCoeffs(a=a, b=float(b))
-
-
-def constraint_rd1(
-    bar: BarrierRd1, sys: ControlAffineSystem, xhat: Vector, t: float,
-    bound: ErrorBoundModel, state: AdaptiveState, cfg: FatConfig,
-) -> ConstraintCoeffs:
-    """Constraint row for a relative-degree-1 barrier.
-
-    a = grad_h . g.  b collects the drift and series terms along grad_h,
-    the bound's drift -L dM/dt, the residual margin -||grad_h|| E, and the
-    zeroing terms mu h_eps - mu N epsilon.
-    """
-    return _assemble(bar.h, bar.grad_h, bar.L, sys, xhat, t, bound, state, cfg)
-
-
-def constraint_rdr(
-    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, t: float,
-    bound: ErrorBoundModel, state: AdaptiveState, cfg: FatConfig,
-) -> ConstraintCoeffs:
-    """Same assembly as constraint_rd1 applied to the top chain level s_{r-1}."""
-    top = chain.r - 1
-    return _assemble(chain.s[top], chain.grad_s[top], chain.L_k[top], sys, xhat, t, bound, state, cfg)

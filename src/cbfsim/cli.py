@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,14 +24,16 @@ from .simloop import RunError, SimConfig, SimTrace, compute_epsilon_bound, run_p
 Vector = np.ndarray
 
 # Override keys accepted in config documents and run_preset override maps.
+# Scalars: key -> (SimConfig field it lands in, or None for the top level;
+# message; check).
 _SCALAR_OVERRIDES = {
-    "dt": ("dt must be > 0", lambda v: v > 0),
-    "t_end": ("t_end must be >= 0", lambda v: v >= 0),
-    "baseline_gamma": ("baseline_gamma must be > 0", lambda v: v > 0),
-    "epsilon": ("epsilon must be > 0", lambda v: v > 0),
-    "mu": ("mu must be > 0", lambda v: v > 0),
-    "omega": ("omega must be > 0", lambda v: v > 0),
-    "E": ("E must be >= 0", lambda v: v >= 0),
+    "dt": (None, "dt must be > 0", lambda v: v > 0),
+    "t_end": (None, "t_end must be >= 0", lambda v: v >= 0),
+    "baseline_gamma": (None, "baseline_gamma must be > 0", lambda v: v > 0),
+    "epsilon": ("adaptive0", "epsilon must be > 0", lambda v: v > 0),
+    "mu": ("adaptive0", "mu must be > 0", lambda v: v > 0),
+    "omega": ("fat", "omega must be > 0", lambda v: v > 0),
+    "E": ("fat", "E must be >= 0", lambda v: v >= 0),
 }
 _VECTOR_OVERRIDES = ("x0", "xhat0", "u_d")
 _BOOL_OVERRIDES = ("strict_feasibility",)
@@ -45,9 +48,16 @@ CONFIG_KEYS = (
 
 
 def _require_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """value as a finite float; booleans, non-numbers, NaN and infinities fail."""
+    number = math.nan
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    if not math.isfinite(number):
         raise ValueError(f"invalid value for '{key}': expected a number")
-    return float(value)
+    return number
 
 
 def _require_vector(key: str, value, length: int) -> Vector:
@@ -62,13 +72,13 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
         if key not in CONFIG_KEYS or key == "preset":
             raise ValueError(f"unknown config key '{key}'")
     changes: dict = {}
-    for key in ("dt", "t_end", "baseline_gamma"):
+    nested: dict = {"adaptive0": {}, "fat": {}}
+    for key, (target, msg, check) in _SCALAR_OVERRIDES.items():
         if key in overrides:
-            msg, check = _SCALAR_OVERRIDES[key]
             v = _require_number(key, overrides[key])
             if not check(v):
                 raise ValueError(f"invalid value for '{key}': {msg}")
-            changes[key] = v
+            (changes if target is None else nested[target])[key] = v
     for key in ("x0", "xhat0"):
         if key in overrides:
             changes[key] = _require_vector(key, overrides[key], cfg.system.n)
@@ -85,29 +95,9 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
         if v not in _ENUM_OVERRIDES["on_infeasible"]:
             raise ValueError("invalid value for 'on_infeasible': expected 'nominal' or 'hold'")
         changes["on_infeasible"] = v
-
-    adaptive = cfg.adaptive0
-    for key in ("epsilon", "mu"):
-        if key in overrides:
-            msg, check = _SCALAR_OVERRIDES[key]
-            v = _require_number(key, overrides[key])
-            if not check(v):
-                raise ValueError(f"invalid value for '{key}': {msg}")
-            adaptive = replace(adaptive, **{key: v})
-    if adaptive is not cfg.adaptive0:
-        changes["adaptive0"] = adaptive
-
-    fat = cfg.fat
-    for key in ("omega", "E"):
-        if key in overrides:
-            msg, check = _SCALAR_OVERRIDES[key]
-            v = _require_number(key, overrides[key])
-            if not check(v):
-                raise ValueError(f"invalid value for '{key}': {msg}")
-            fat = replace(fat, **{key: v})
-    if fat is not cfg.fat:
-        changes["fat"] = fat
-
+    for target, fields in nested.items():
+        if fields:
+            changes[target] = replace(getattr(cfg, target), **fields)
     return replace(cfg, **changes) if changes else cfg
 
 

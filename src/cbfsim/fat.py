@@ -3,9 +3,8 @@
 The estimation-induced disturbance is modeled as an unknown function of
 time expanded over a fixed Fourier-style basis; only the first N vector
 coefficients are estimated online. The adaptive law below drives those
-estimates from the barrier gradient and is shared by the relative-degree-1
-and higher-relative-degree controllers (they differ only in which gradient
-is supplied).
+estimates from the gradient of the barrier chain's top level (the barrier
+itself when its relative degree is 1).
 """
 
 from __future__ import annotations

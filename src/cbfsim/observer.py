@@ -22,11 +22,10 @@ Matrix = np.ndarray
 class ErrorBoundModel:
     """Known bound M(t) on the estimation error norm, with its derivative.
 
-    kind is one of "exponential", "constant", "interval". value and
-    derivative must be consistent; the constructors below guarantee that.
+    value and derivative must be consistent; the constructors below
+    guarantee that.
     """
 
-    kind: str
     value: Callable[[float], float]
     derivative: Callable[[float], float]
 
@@ -42,7 +41,6 @@ class ErrorBoundModel:
         if D < 0:
             raise ValueError("D must be >= 0")
         return ErrorBoundModel(
-            kind="exponential",
             value=lambda t: D * np.exp(-lam * t),
             derivative=lambda t: -lam * D * np.exp(-lam * t),
         )
@@ -52,46 +50,7 @@ class ErrorBoundModel:
         """M(t) = beta. Covers bounds with no useful time structure."""
         if beta < 0:
             raise ValueError("beta must be >= 0")
-        return ErrorBoundModel(kind="constant", value=lambda t: beta, derivative=lambda t: 0.0)
-
-    @staticmethod
-    def interval(
-        width_fn: Callable[[float], float],
-        width_derivative: Callable[[float], float] | None = None,
-    ) -> "ErrorBoundModel":
-        """M(t) supplied directly, e.g. half the width of an interval estimate.
-
-        When no derivative is given it is approximated by a central finite
-        difference (one-sided at t = 0).
-        """
-        if width_derivative is None:
-            def width_derivative(t: float, _w=width_fn) -> float:
-                step = 1e-6
-                lo = t - step
-                if lo < 0.0:
-                    return (_w(t + step) - _w(t)) / step
-                return (_w(t + step) - _w(lo)) / (2.0 * step)
-        return ErrorBoundModel(kind="interval", value=width_fn, derivative=width_derivative)
-
-
-def error_bound(model: ErrorBoundModel, t: float) -> float:
-    """M(t). Only defined for t >= 0."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return float(model.value(t))
-
-
-def interval_bound(x_upper: Vector, x_lower: Vector) -> float:
-    """Half the Euclidean norm of (x_upper - x_lower).
-
-    The error of any estimate taken inside a componentwise-valid interval
-    [x_lower, x_upper] is bounded by this radius.
-    """
-    x_upper = np.asarray(x_upper, dtype=float)
-    x_lower = np.asarray(x_lower, dtype=float)
-    if np.any(x_upper < x_lower):
-        raise ValueError("x_upper must dominate x_lower componentwise")
-    return 0.5 * float(np.linalg.norm(x_upper - x_lower))
+        return ErrorBoundModel(value=lambda t: beta, derivative=lambda t: 0.0)
 
 
 @dataclass(frozen=True)
@@ -108,17 +67,6 @@ class EeqObserver:
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
-
-
-def eval_observer_rhs(obs: EeqObserver, xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
-    """v(xhat, y, u); t is passed through for time-varying observers."""
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.shape != (obs.dim,):
-        raise ValueError(f"xhat has shape {xhat.shape}, expected ({obs.dim},)")
-    out = np.asarray(obs.rhs(xhat, np.asarray(y, dtype=float), np.asarray(u, dtype=float), t), dtype=float)
-    if out.shape != (obs.dim,):
-        raise ValueError(f"observer rhs returned shape {out.shape}, expected ({obs.dim},)")
-    return out
 
 
 def make_luenberger(A: Matrix, B: Matrix, C: Matrix, gain: Matrix, bound: ErrorBoundModel) -> EeqObserver:

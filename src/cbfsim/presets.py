@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import BarrierChain, BarrierRd1
+from .barrier import BarrierChain
 from .dynamics import (
     EXAMPLE1_A,
     EXAMPLE1_B,
@@ -106,7 +106,7 @@ def make_preset(name: str) -> ExperimentPreset:
     """Build one of the named presets; raises ValueError on unknown names."""
     if name == "example1a":
         obs, _ = _example1_observer(lam=-0.05)
-        barrier = BarrierRd1(
+        barrier = BarrierChain.rd1(
             h=lambda x: x[1] - 1.0,
             grad_h=lambda x: np.array([0.0, 1.0, 0.0]),
             L=1.0,
@@ -154,7 +154,7 @@ def make_preset(name: str) -> ExperimentPreset:
             ROSSLER_GAINS["q2"], ROSSLER_GAINS["s2"], ROSSLER_GAINS["r2"],
             ROSSLER_GAINS["m_exp"], ROSSLER_PARAMS, bound,
         )
-        barrier = BarrierRd1(
+        barrier = BarrierChain.rd1(
             h=lambda x: x[1] + 1.0,
             grad_h=lambda x: np.array([0.0, 1.0, 0.0]),
             L=1.0,

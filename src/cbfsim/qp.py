@@ -3,14 +3,12 @@
 The filter solves min ||u - u_d||^2 subject to a . u + b >= 0. With a
 single linear inequality the answer is closed form (Euclidean projection
 onto a halfspace); no iterative solver, so no solver tolerances in the
-reproducibility story. A boxed variant adds componentwise bounds and is
-solved exactly by enumerating the box active sets (small m only).
+reproducibility story.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -44,59 +42,3 @@ def solve_halfspace_qp(u_d: Vector, c: ConstraintCoeffs) -> QpResult:
         return QpResult(u=u_d + a * (-resid / nrm2), active=True, feasible=True)
     return QpResult(u=u_d.copy(), active=False, feasible=False)
 
-
-def solve_boxed_qp(u_d: Vector, c: ConstraintCoeffs, lo: Vector, hi: Vector) -> QpResult:
-    """Exact minimizer of ||u - u_d||^2 over {a.u + b >= 0, lo <= u <= hi}.
-
-    Enumerates which coordinates sit at which box face (3^m patterns) and
-    solves the halfspace projection on the free coordinates for each, then
-    keeps the best feasible candidate. Exact for m <= 4; larger m is
-    rejected rather than silently slow.
-    """
-    u_d = np.asarray(u_d, dtype=float)
-    a = np.asarray(c.a, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    m = u_d.shape[0]
-    if m > 4:
-        raise ValueError("solve_boxed_qp supports m <= 4")
-    if np.any(lo > hi):
-        raise ValueError("lo must be <= hi componentwise")
-
-    # Empty intersection: even the most favorable corner violates the halfspace.
-    best_affine = float(np.sum(np.maximum(a * lo, a * hi)) + c.b)
-    if best_affine < 0.0:
-        return QpResult(u=np.clip(u_d, lo, hi), active=False, feasible=False)
-
-    u_box = np.clip(u_d, lo, hi)
-    if float(a @ u_box + c.b) >= 0.0:
-        # The box minimizer already satisfies the halfspace, hence is optimal.
-        return QpResult(u=u_box, active=False, feasible=True)
-
-    # Otherwise the halfspace is tight at the optimum. Enumerate box faces.
-    tol = 1e-12
-    best_u = None
-    best_obj = np.inf
-    for pattern in product((-1, 0, 1), repeat=m):
-        clamped = np.array(pattern)
-        u = np.where(clamped < 0, lo, np.where(clamped > 0, hi, u_d))
-        free = clamped == 0
-        a_free = a[free]
-        nrm2 = float(a_free @ a_free)
-        resid = float(a @ u + c.b)
-        if nrm2 > 0.0:
-            u = u.copy()
-            u[free] = u[free] + a_free * (-resid / nrm2)
-        elif resid < -tol:
-            continue  # fully clamped pattern that misses the halfspace
-        if np.any(u < lo - tol) or np.any(u > hi + tol):
-            continue
-        if float(a @ u + c.b) < -tol:
-            continue
-        obj = float(np.sum((u - u_d) ** 2))
-        if obj < best_obj - tol:
-            best_obj = obj
-            best_u = np.clip(u, lo, hi)
-    if best_u is None:
-        return QpResult(u=u_box, active=False, feasible=False)
-    return QpResult(u=best_u, active=True, feasible=True)

@@ -21,23 +21,17 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .barrier import (
-    Barrier,
-    BarrierChain,
-    BarrierRd1,
-    ConstraintCoeffs,
-    constraint_rd1,
-    constraint_rdr,
-    epsilon_bound_rd1,
-    epsilon_bound_rdr,
-)
+from .barrier import BarrierChain, ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
 from .dynamics import ControlAffineSystem, eval_drift, eval_input_matrix, eval_output
 from .fat import AdaptiveState, FatConfig, adaptive_rhs
 from .integrator import IntegrationError, OdeProblem, rk4_step, time_grid
 from .observer import EeqObserver
-from .qp import QpResult, solve_halfspace_qp
+from .qp import solve_halfspace_qp
 
 Vector = np.ndarray
+
+# Former names, kept only because bench/tracer.py rebinds them; nothing calls them.
+constraint_rd1, epsilon_bound_rd1 = constraint_rdr, epsilon_bound_rdr
 
 CONTROLLERS = ("proposed", "baseline")
 INFEASIBLE_MODES = ("nominal", "hold")
@@ -55,7 +49,7 @@ class RunError(RuntimeError):
 class SimConfig:
     system: ControlAffineSystem
     observer: EeqObserver
-    barrier: Barrier
+    barrier: BarrierChain
     fat: FatConfig
     adaptive0: AdaptiveState
     x0: Vector
@@ -145,18 +139,8 @@ class SafetyReport:
     epsilon_ok: bool
 
 
-def _barrier_parts(barrier: Barrier):
-    """(h, grad for adaptation, constraint assembler, base h, base grad)."""
-    if isinstance(barrier, BarrierRd1):
-        return barrier.h, barrier.grad_h, constraint_rd1, barrier.h, barrier.grad_h
-    top = barrier.r - 1
-    return barrier.s[top], barrier.grad_s[top], constraint_rdr, barrier.s[0], barrier.grad_s[0]
-
-
 def compute_epsilon_bound(cfg: SimConfig) -> float:
     """Feasibility bound for epsilon at the configured initial data."""
-    if isinstance(cfg.barrier, BarrierRd1):
-        return epsilon_bound_rd1(cfg.barrier, cfg.xhat0, cfg.observer.bound, cfg.adaptive0, cfg.fat)
     return epsilon_bound_rdr(cfg.barrier, cfg.xhat0, cfg.observer.bound, cfg.adaptive0, cfg.fat)
 
 
@@ -183,17 +167,14 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     fat_cfg = cfg.fat
     state0 = cfg.adaptive0
     n, m, N = sys_.n, sys_.m, fat_cfg.N
-    _, grad_fn, assemble, base_h, base_grad = _barrier_parts(cfg.barrier)
+    chain = cfg.barrier
+    top = chain.r - 1
+    # Level 0 is the barrier h itself (true safety, deflated h0, baseline
+    # row); the top level carries the input (proposed row, adaptation).
+    base_h, base_grad, base_L = chain.s[0], chain.grad_s[0], chain.L_k[0]
+    top_s, grad_fn, L_top = chain.s[top], chain.grad_s[top], chain.L_k[top]
     proposed = cfg.controller == "proposed"
     bound_model = obs.bound
-    if isinstance(cfg.barrier, BarrierRd1):
-        L_top = cfg.barrier.L
-        top_s = cfg.barrier.h
-    else:
-        L_top = cfg.barrier.L_k[cfg.barrier.r - 1]
-        top_s = cfg.barrier.s[cfg.barrier.r - 1]
-
-    base_L = _base_L(cfg.barrier)
     times = time_grid(0.0, cfg.t_end, cfg.dt)
     S = times.shape[0]
     tr_x = np.empty((S, n)); tr_xhat = np.empty((S, n)); tr_u = np.empty((S, m))
@@ -228,7 +209,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         st = replace(state0, theta_hat=theta)
         u_d = np.asarray(cfg.u_nominal(t, xhat), dtype=float)
         if proposed:
-            coeffs = assemble(cfg.barrier, sys_, xhat, t, bound_model, st, fat_cfg)
+            coeffs = constraint_rdr(chain, sys_, xhat, t, bound_model, st, fat_cfg)
         else:
             g = base_grad(xhat)
             coeffs = ConstraintCoeffs(
@@ -265,21 +246,12 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                 f"state became non-finite during the step starting at t={t:.6g}",
                 _sample_dict(t, x, xhat, u),
             ) from err
-        if not np.all(np.isfinite(z)):
-            raise RunError(
-                f"state became non-finite during the step starting at t={t:.6g}",
-                _sample_dict(t, x, xhat, u),
-            )
 
     return SimTrace(
         t=times.astype(float), x=tr_x, xhat=tr_xhat, u=tr_u, h_true=tr_h,
         h0=tr_h0, barrier_eps=tr_eps, residual=tr_res, M=tr_M,
         theta_norms=tr_th, qp_active=tr_act, qp_feasible=tr_feas,
     )
-
-
-def _base_L(barrier: Barrier) -> float:
-    return barrier.L if isinstance(barrier, BarrierRd1) else barrier.L_k[0]
 
 
 def _sample_dict(t: float, x: Vector, xhat: Vector, u: Vector) -> dict:

@@ -59,43 +59,6 @@ def grid_halfspace_min(u_d, a, b, final_pitch=2.5e-5, half=12):
         pitch /= 4.0
 
 
-def grid_box_min(u_d, a, b, lo, hi, pitch=1e-3):
-    """argmin over {a.u + b >= 0} intersected with [lo, hi], single dense
-    grid of the stated pitch over the whole box plus boundary crossings.
-    Returns None when no feasible candidate exists."""
-    u_d = np.asarray(u_d, dtype=float)
-    a = np.asarray(a, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    m = u_d.size
-    axes = []
-    for i in range(m):
-        vals = lo[i] + pitch * np.arange(int(np.floor((hi[i] - lo[i]) / pitch)) + 1)
-        axes.append(np.append(vals, hi[i]))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=1)
-    extra = []
-    for i in range(m):
-        if abs(a[i]) < 1e-12:
-            continue
-        others = [j for j in range(m) if j != i]
-        sub = np.meshgrid(*[axes[j] for j in others], indexing="ij")
-        lattice = np.stack([g.ravel() for g in sub], axis=1)
-        cross = np.empty((lattice.shape[0], m))
-        for col, j in enumerate(others):
-            cross[:, j] = lattice[:, col]
-        cross[:, i] = -(b + lattice @ a[others]) / a[i]
-        inside = (cross[:, i] >= lo[i] - 1e-12) & (cross[:, i] <= hi[i] + 1e-12)
-        extra.append(np.clip(cross[inside], lo, hi))
-    if extra:
-        pts = np.concatenate([pts] + extra, axis=0)
-    feasible = pts[pts @ a + b >= -1e-9 * (1.0 + abs(b))]
-    if feasible.shape[0] == 0:
-        return None
-    obj = np.einsum("ij,ij->i", feasible - u_d, feasible - u_d)
-    return feasible[int(np.argmin(obj))]
-
-
 def random_halfspace_instances(count_per_m=(400, 300, 300), seed=1234):
     """(u_d, a, b) triples, m in {1,2,3}; well-scaled and away from the
     classification knife edge |a.u_d + b| = 0."""

@@ -10,7 +10,7 @@ import numpy as np
 
 from cbfsim import (
     OdeProblem,
-    epsilon_bound_rd1,
+    epsilon_bound_rdr,
     integrate,
     make_preset,
     run_preset,
@@ -69,7 +69,7 @@ def test_criterion_04_epsilon_bound_arithmetic(criterion):
     for name, exact in (("example1a", 0.5 / 3.0), ("example2", 1.0 / 3.0)):
         cfg = make_preset(name).cfg
         vals[name] = (
-            epsilon_bound_rd1(cfg.barrier, cfg.xhat0, cfg.observer.bound,
+            epsilon_bound_rdr(cfg.barrier, cfg.xhat0, cfg.observer.bound,
                               cfg.adaptive0, cfg.fat),
             exact,
         )

@@ -4,17 +4,12 @@ import pytest
 from cbfsim import (
     AdaptiveState,
     BarrierChain,
-    BarrierRd1,
     ConstraintCoeffs,
     ErrorBoundModel,
     FatConfig,
     chain_s_eval,
-    constraint_rd1,
     constraint_rdr,
-    epsilon_bound_rd1,
     epsilon_bound_rdr,
-    h0_eval,
-    h_eps_eval,
     make_example1_system,
     skm_eval,
 )
@@ -24,8 +19,8 @@ from cbfsim.presets import make_preset
 EXP_BOUND = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
 ZERO_BOUND = ErrorBoundModel.constant(0.0)
 
-H_1A = BarrierRd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
-H_EX2 = BarrierRd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
+H_1A = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
+H_EX2 = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
 
 CHAIN_1B = BarrierChain(
     r=2,
@@ -53,21 +48,19 @@ def _adaptive(n=3, N=3, epsilon=0.1, mu=3.5, theta_hat=None, theta_bar=None):
 
 
 def test_h0_values():
-    assert h0_eval(H_1A, XHAT_1A, 0.0, EXP_BOUND) == pytest.approx(0.5, abs=1e-14)
+    assert skm_eval(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND) == pytest.approx(0.5, abs=1e-14)
     ex2_bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
-    assert h0_eval(H_EX2, XHAT_EX2, 0.0, ex2_bound) == pytest.approx(1.0, abs=1e-14)
+    assert skm_eval(H_EX2, 0, XHAT_EX2, 0.0, ex2_bound) == pytest.approx(1.0, abs=1e-14)
     # perfect observer: deflation vanishes
-    assert h0_eval(H_1A, XHAT_1A, 5.0, ZERO_BOUND) == pytest.approx(2.5, abs=1e-14)
+    assert skm_eval(H_1A, 0, XHAT_1A, 5.0, ZERO_BOUND) == pytest.approx(2.5, abs=1e-14)
 
 
 def test_h_eps_values():
-    assert h_eps_eval(H_1A, XHAT_1A, 0.0, EXP_BOUND, 0.1) == pytest.approx(0.4, abs=1e-14)
-    assert h_eps_eval(H_1A, XHAT_1A, 0.0, EXP_BOUND, 1e-15) == pytest.approx(
-        h0_eval(H_1A, XHAT_1A, 0.0, EXP_BOUND), abs=1e-12
-    )
+    # h_eps = s_0^M - epsilon on the relative-degree-1 chain
+    assert skm_eval(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND) - 0.1 == pytest.approx(0.4, abs=1e-14)
     # h(xhat) = L M + eps exactly -> zero
     xhat = np.array([0.0, 1.0 + 2.0 + 0.1, 0.0])
-    assert h_eps_eval(H_1A, xhat, 0.0, EXP_BOUND, 0.1) == pytest.approx(0.0, abs=1e-14)
+    assert skm_eval(H_1A, 0, xhat, 0.0, EXP_BOUND) - 0.1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_chain_s_values():
@@ -124,9 +117,9 @@ def test_skm_values():
 def test_epsilon_bound_rd1_values():
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
-    assert epsilon_bound_rd1(H_1A, XHAT_1A, EXP_BOUND, st, cfg) == pytest.approx(0.5 / 3.0, abs=1e-12)
+    assert epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st, cfg) == pytest.approx(0.5 / 3.0, abs=1e-12)
     ex2_bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
-    assert epsilon_bound_rd1(H_EX2, XHAT_EX2, ex2_bound, st, cfg) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert epsilon_bound_rdr(H_EX2, XHAT_EX2, ex2_bound, st, cfg) == pytest.approx(1.0 / 3.0, abs=1e-12)
     # the shipped epsilon passes both
     assert 0.1 <= 0.5 / 3.0 and 0.1 <= 1.0 / 3.0
 
@@ -139,16 +132,16 @@ def test_epsilon_denominator_with_estimates():
         theta_bar=np.array([0.5, 2.0]),
     )
     cfg = FatConfig(N=2)
-    bar = BarrierRd1(h=lambda x: x[0], grad_h=lambda x: np.array([1.0, 0.0]), L=1.0)
-    got = epsilon_bound_rd1(bar, np.array([10.0, 0.0]), ZERO_BOUND, st, cfg)
+    bar = BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.array([1.0, 0.0]), L=1.0)
+    got = epsilon_bound_rdr(bar, np.array([10.0, 0.0]), ZERO_BOUND, st, cfg)
     assert got == pytest.approx(10.0 / 5.0, abs=1e-12)
 
 
 def test_epsilon_bound_soundness_identity():
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
-    bound = epsilon_bound_rd1(H_1A, XHAT_1A, EXP_BOUND, st, cfg)
-    h0 = h0_eval(H_1A, XHAT_1A, 0.0, EXP_BOUND)
+    bound = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st, cfg)
+    h0 = skm_eval(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND)
     assert abs(h0 - bound * 3.0) <= 1e-12  # denominator is N for zero estimates
 
 
@@ -162,13 +155,14 @@ def test_epsilon_bound_rdr_values():
 
 def test_epsilon_bound_rdr_degenerate_chain():
     chain = BarrierChain(
-        r=1, s=(H_1A.h,), grad_s=(H_1A.grad_h,), lam=(), L_k=(1.0,),
+        r=1, s=H_1A.s, grad_s=H_1A.grad_s, lam=(), L_k=(1.0,),
     )
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
     a = epsilon_bound_rdr(chain, XHAT_1A, EXP_BOUND, st, cfg)
-    b = epsilon_bound_rd1(H_1A, XHAT_1A, EXP_BOUND, st, cfg)
+    b = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st, cfg)
     assert a == pytest.approx(b, abs=1e-15)
+    assert a == pytest.approx(0.5 / 3.0, abs=1e-12)
 
 
 def test_epsilon_bound_rdr_uniform_levels():
@@ -190,7 +184,7 @@ def test_constraint_rd1_hand_assembly():
     sys_ = make_example1_system()
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
-    c = constraint_rd1(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, cfg)
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, cfg)
     np.testing.assert_allclose(c.a, [1.0], atol=1e-14)
     assert c.b == pytest.approx(-0.35, abs=1e-12)
     # feasible set is u >= 0.35
@@ -201,8 +195,8 @@ def test_constraint_rd1_reduces_to_nominal_row():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
     cfg = FatConfig(N=3, E=0.0)
-    c = constraint_rd1(H_1A, sys_, XHAT_1A, 0.0, ZERO_BOUND, st, cfg)
-    grad = H_1A.grad_h(XHAT_1A)
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, ZERO_BOUND, st, cfg)
+    grad = H_1A.grad_s[0](XHAT_1A)
     np.testing.assert_allclose(c.a, grad @ np.array([[0.0], [1.0], [1.0]]), atol=1e-14)
     assert c.b == pytest.approx(grad @ eval_drift(sys_, XHAT_1A), abs=1e-9)
 
@@ -216,19 +210,27 @@ def test_constraint_rd1_uncontrollable_direction():
         input_map=lambda x: np.zeros((3, 1)),
         output_map=lambda x: x[:1],
     )
-    c = constraint_rd1(H_1A, sys_, XHAT_1A, 0.0, ZERO_BOUND, _adaptive(), FatConfig(N=3))
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, ZERO_BOUND, _adaptive(), FatConfig(N=3))
     np.testing.assert_array_equal(c.a, [0.0])
 
 
 def test_constraint_rdr_matches_rd1_on_degenerate_chain():
+    # BarrierChain.rd1 is the r = 1 chain, and its row is the relative-degree-1
+    # formula a = grad_h . g, b = grad_h . f - L dM/dt - ||grad_h|| E
+    # + mu (h - L M - eps) - mu N eps (zero estimates: no series term).
+    h, grad_h = H_1A.s[0], H_1A.grad_s[0]
+    assert H_1A == BarrierChain(r=1, s=(h,), grad_s=(grad_h,), lam=(), L_k=(1.0,))
     sys_ = make_example1_system()
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
-    chain = BarrierChain(r=1, s=(H_1A.h,), grad_s=(H_1A.grad_h,), lam=(), L_k=(1.0,))
-    c1 = constraint_rd1(H_1A, sys_, XHAT_1A, 0.3, EXP_BOUND, st, cfg)
-    c2 = constraint_rdr(chain, sys_, XHAT_1A, 0.3, EXP_BOUND, st, cfg)
-    np.testing.assert_allclose(c2.a, c1.a, atol=1e-15)
-    assert c2.b == pytest.approx(c1.b, abs=1e-15)
+    t = 0.3
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, t, EXP_BOUND, st, cfg)
+    g = grad_h(XHAT_1A)
+    M, dM = EXP_BOUND.value(t), EXP_BOUND.derivative(t)
+    want_b = (g @ eval_drift(sys_, XHAT_1A) - dM - 0.1
+              + 3.5 * (h(XHAT_1A) - M - 0.1) - 3.5 * 3 * 0.1)
+    np.testing.assert_allclose(c.a, g @ eval_input_matrix(sys_, XHAT_1A), atol=1e-15)
+    assert c.b == pytest.approx(want_b, abs=1e-12)
 
 
 def test_constraint_rdr_input_annihilated():
@@ -253,16 +255,16 @@ def test_constraint_rdr_drift_only_reduction():
 
 def test_monotone_conservatism():
     ts = 0.7
-    v1 = h_eps_eval(H_1A, XHAT_1A, ts, EXP_BOUND, 0.1)
-    v2 = h_eps_eval(H_1A, XHAT_1A, ts, EXP_BOUND, 0.2)
+    v1 = skm_eval(H_1A, 0, XHAT_1A, ts, EXP_BOUND) - 0.1
+    v2 = skm_eval(H_1A, 0, XHAT_1A, ts, EXP_BOUND) - 0.2
     assert v2 < v1
     big = ErrorBoundModel.constant(3.0)
     small = ErrorBoundModel.constant(1.0)
-    assert h_eps_eval(H_1A, XHAT_1A, ts, big, 0.1) < h_eps_eval(H_1A, XHAT_1A, ts, small, 0.1)
+    assert skm_eval(H_1A, 0, XHAT_1A, ts, big) < skm_eval(H_1A, 0, XHAT_1A, ts, small)
     sys_ = make_example1_system()
     st = _adaptive()
-    b_lo = constraint_rd1(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, FatConfig(N=3, E=0.1)).b
-    b_hi = constraint_rd1(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, FatConfig(N=3, E=0.5)).b
+    b_lo = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, FatConfig(N=3, E=0.1)).b
+    b_hi = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, FatConfig(N=3, E=0.5)).b
     assert b_hi < b_lo
 
 
@@ -273,18 +275,17 @@ def test_deflation_implies_true_safety():
     bound = ErrorBoundModel.constant(0.8)
     for _ in range(200):
         xhat = rng.normal(scale=2.0, size=3)
-        if h0_eval(H_1A, xhat, 0.0, bound) < 0:
+        if skm_eval(H_1A, 0, xhat, 0.0, bound) < 0:
             continue
         delta = rng.normal(size=3)
         delta *= rng.uniform(0.0, 1.0) * 0.8 / np.linalg.norm(delta)
         x = xhat - delta
-        assert H_1A.h(x) >= -1e-12
+        assert H_1A.s[0](x) >= -1e-12
 
 
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(8)
-    fns = [(H_1A.h, H_1A.grad_h), (H_EX2.h, H_EX2.grad_h)]
-    fns += [(c.s[k], c.grad_s[k]) for c in (CHAIN_1B, CHAIN_1C) for k in range(c.r)]
+    fns = [(c.s[k], c.grad_s[k]) for c in (H_1A, H_EX2, CHAIN_1B, CHAIN_1C) for k in range(c.r)]
     for f, g in fns:
         for _ in range(100):
             x = rng.normal(scale=3.0, size=3)
@@ -299,10 +300,7 @@ def test_gradients_match_finite_differences():
 
 def test_lipschitz_constant_dominates_gradient():
     rng = np.random.default_rng(12)
-    for bar in (H_1A, H_EX2):
-        for _ in range(100):
-            assert np.linalg.norm(bar.grad_h(rng.normal(size=3))) <= bar.L + 1e-12
-    for chain in (CHAIN_1B, CHAIN_1C):
+    for chain in (H_1A, H_EX2, CHAIN_1B, CHAIN_1C):
         for k in range(chain.r):
             for _ in range(100):
                 g = chain.grad_s[k](rng.normal(size=3))
@@ -312,7 +310,8 @@ def test_lipschitz_constant_dominates_gradient():
 def test_preset_barrier_objects_match_module_constants():
     p1 = make_preset("example1a").cfg.barrier
     x = np.array([0.3, 2.7, -1.1])
-    assert p1.h(x) == H_1A.h(x)
+    assert p1.r == 1 and p1.L_k == (1.0,)
+    assert p1.s[0](x) == H_1A.s[0](x)
     pb = make_preset("example1b").cfg.barrier
     assert pb.r == 2
     assert chain_s_eval(pb, 1, XHAT_1B) == pytest.approx(1.4, abs=1e-14)
@@ -340,7 +339,7 @@ def test_chain_validation():
             L_k=(1.0, 1.0),
         )
     with pytest.raises(ValueError):
-        BarrierRd1(h=lambda x: x[0], grad_h=lambda x: x, L=0.0)
+        BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: x, L=0.0)
 
 
 def test_constraint_coeffs_residual():

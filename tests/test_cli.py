@@ -1,10 +1,16 @@
+import hashlib
 import io
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cbfsim
 from cbfsim import SimTrace, emit_csv, emit_plot, main, parse_config, run_preset, run_simulation, safety_report
 from cbfsim.cli import apply_overrides
 from cbfsim.presets import ROSSLER_GAINS, ROSSLER_PARAMS, make_preset
@@ -49,6 +55,12 @@ def test_epsilon_override_flips_feasibility_verdict():
     ('{"preset": "example1a", "dt": -1}', "dt must be > 0"),
     ('{"preset": "example1a", "dt": "fast"}', "expected a number"),
     ('{"preset": "example1a", "epsilon": true}', "expected a number"),
+    ('{"preset": "example1a", "t_end": Infinity}', "expected a number"),
+    ('{"preset": "example1a", "dt": Infinity}', "expected a number"),
+    ('{"preset": "example1a", "x0": [NaN, 1, 1]}', "expected a number"),
+    ('{"preset": "example1a", "epsilon": Infinity}', "expected a number"),
+    pytest.param('{"preset": "example1a", "mu": 1' + "0" * 400 + '}', "expected a number",
+                 id="integer-beyond-float-range"),
     ('{"preset": "example1a", "bogus": 1}', "unknown config key 'bogus'"),
     ('{"preset": "example1a", "x0": [1, 2]}', "x0"),
     ('{"preset": "example1a", "u_d": 3}', "u_d"),
@@ -110,6 +122,28 @@ def test_csv_round_trip():
     for name, col in cols.items():
         np.testing.assert_allclose(
             data[name], col.astype(float), rtol=5e-12, atol=1e-300, err_msg=name)
+
+
+# sha256 of each preset's emitted CSV; any change to a trace byte shows here.
+PRESET_CSV_SHA256 = {
+    ("example1a", "proposed"): "0e80099998157ba728b6bd6d784971c4e5476b1d3ef8f5213a29f2a2c88a3313",
+    ("example1a", "baseline"): "2fe2dfee74402dcc8198db7c06a931d132a7c0498985db1c6d0d0aba8c30d00b",
+    ("example1b", "proposed"): "adbc886c32bf65aac4a99d0c4dde758f3037d23cadcd396aab489f35cd3a9c3a",
+    ("example1b", "baseline"): "31f6642a2908c848a27286ab53d6129f9e3803604c89be9428a8d61db3c3602b",
+    ("example1c", "proposed"): "4db5c762e9c51d1b6b867fd776e7d3dffc02af1fc2c176856319507cae73d012",
+    ("example1c", "baseline"): "8d2eaa744a6fa077e180a022e7977edcccc3f790c5089fab8a279dc79cc14ae9",
+    ("example2", "proposed"): "076ff9caa1dc5b0726d558ecedeb2f91a82641fee7b0bb31652c04eed206134d",
+    ("example2", "baseline"): "ba8f0c8ecb093d3a588cc32551f59f888d117f5206aae3527b08c183d45fdd8d",
+}
+
+
+def test_preset_csv_bytes_pinned(preset_runs):
+    got = {
+        (name, controller): hashlib.sha256(emit_csv(run[controller]).encode()).hexdigest()
+        for name, run in preset_runs.items()
+        for controller in ("proposed", "baseline")
+    }
+    assert got == PRESET_CSV_SHA256
 
 
 def test_csv_empty_trace_rejected():
@@ -200,9 +234,9 @@ def test_preset_fidelity_example1a():
     assert cfg.adaptive0.epsilon == 0.1 and cfg.adaptive0.mu == 3.5
     assert cfg.observer.bound.value(0.0) == pytest.approx(2.0)
     assert cfg.observer.bound.derivative(0.0) == pytest.approx(0.1)  # grows
-    assert cfg.barrier.L == 1.0
-    assert cfg.barrier.h(np.array([0.0, 2.0, 0.0])) == pytest.approx(1.0)
-    np.testing.assert_array_equal(cfg.barrier.grad_h(cfg.x0), [0.0, 1.0, 0.0])
+    assert cfg.barrier.r == 1 and cfg.barrier.L_k == (1.0,)
+    assert cfg.barrier.s[0](np.array([0.0, 2.0, 0.0])) == pytest.approx(1.0)
+    np.testing.assert_array_equal(cfg.barrier.grad_s[0](cfg.x0), [0.0, 1.0, 0.0])
     np.testing.assert_array_equal(pre.u_d, [-2.0])
     assert cfg.dt == 1e-3 and cfg.t_end == 10.0
 
@@ -246,7 +280,7 @@ def test_preset_fidelity_example2():
     np.testing.assert_array_equal(cfg.xhat0, [0.2, 2.0, 3.0])
     assert cfg.adaptive0.mu == 2.5
     assert cfg.observer.bound.value(1.0) == pytest.approx(2.0 * np.exp(0.15))
-    assert cfg.barrier.h(np.array([0.0, -1.0, 0.0])) == pytest.approx(0.0)
+    assert cfg.barrier.s[0](np.array([0.0, -1.0, 0.0])) == pytest.approx(0.0)
     assert ROSSLER_PARAMS == (0.2, 0.2, 5.0)
     assert ROSSLER_GAINS == dict(q1=3.0, s1=-3.0, r1=3.0, q2=10.0, s2=10.0, r2=10.0, m_exp=3)
     np.testing.assert_array_equal(pre.u_d, [-2.0, -2.0, -2.0])
@@ -322,3 +356,17 @@ def test_main_reports_config_syntax_errors(tmp_path, capsys):
     bad.write_text('{"preset": "example1a",\n  "dt": }')
     assert main(["run", "--config", str(bad)]) == 1
     assert "config parse error at line 2" in capsys.readouterr().err
+
+
+def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"preset": "example1a", "t_end": Infinity}')
+    env = dict(os.environ, PYTHONPATH=str(Path(cbfsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbfsim", "run", "--config", str(cfg_path), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: invalid value for 't_end': expected a number"]
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not (tmp_path / "out").exists()

@@ -6,10 +6,7 @@ import pytest
 from cbfsim import (
     ErrorBoundModel,
     OdeProblem,
-    error_bound,
-    eval_observer_rhs,
     integrate,
-    interval_bound,
     make_luenberger,
     make_rossler_observer,
 )
@@ -30,14 +27,14 @@ def _luenberger(gain):
 
 def test_luenberger_zero_innovation_at_origin():
     obs = _luenberger(PRINTED_GAIN)
-    out = eval_observer_rhs(obs, np.zeros(3), np.zeros(1), np.zeros(1), 0.0)
+    out = obs.rhs(np.zeros(3), np.zeros(1), np.zeros(1), 0.0)
     np.testing.assert_array_equal(out, np.zeros(3))
 
 
 def test_luenberger_rhs_hand_arithmetic():
     # A@[3,3.5,3] = [-2,-0.5,0]; innovation 4.2-6.5 = -2.3 scaled by the gain.
     obs = _luenberger(PRINTED_GAIN)
-    out = eval_observer_rhs(obs, np.array([3.0, 3.5, 3.0]), np.array([4.2]), np.array([0.0]), 0.0)
+    out = obs.rhs(np.array([3.0, 3.5, 3.0]), np.array([4.2]), np.array([0.0]), 0.0)
     expected = np.array([-2.0, -0.5, 0.0]) + PRINTED_GAIN[:, 0] * (-2.3)
     np.testing.assert_allclose(out, expected, atol=1e-12)
     np.testing.assert_allclose(out, [3.129667, -0.9376601, -0.5343498], atol=1e-12)
@@ -47,7 +44,7 @@ def test_luenberger_zero_gain_open_loop():
     obs = _luenberger(np.zeros((3, 1)))
     xhat = np.array([1.0, 2.0, 3.0])
     u = np.array([0.7])
-    out = eval_observer_rhs(obs, xhat, np.array([99.0]), u, 0.0)
+    out = obs.rhs(xhat, np.array([99.0]), u, 0.0)
     np.testing.assert_allclose(out, EXAMPLE1_A @ xhat + EXAMPLE1_B[:, 0] * 0.7, atol=1e-14)
 
 
@@ -55,7 +52,7 @@ def test_luenberger_zero_innovation_general():
     obs = _luenberger(PRINTED_GAIN)
     xhat = np.array([1.0, -1.0, 0.5])
     y = EXAMPLE1_C @ xhat
-    out = eval_observer_rhs(obs, xhat, y, np.array([0.3]), 0.0)
+    out = obs.rhs(xhat, y, np.array([0.3]), 0.0)
     np.testing.assert_allclose(out, EXAMPLE1_A @ xhat + EXAMPLE1_B[:, 0] * 0.3, atol=1e-14)
 
 
@@ -73,16 +70,11 @@ def test_printed_gain_sign_is_not():
 
 def test_error_bound_values():
     exp = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
-    assert error_bound(exp, 0.0) == pytest.approx(2.0)
-    assert error_bound(exp, 10.0) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
+    assert exp.value(0.0) == pytest.approx(2.0)
+    assert exp.value(10.0) == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
     const = ErrorBoundModel.constant(0.3)
-    assert error_bound(const, 0.0) == 0.3
-    assert error_bound(const, 123.0) == 0.3
-
-
-def test_error_bound_rejects_negative_t():
-    with pytest.raises(ValueError):
-        error_bound(BOUND, -0.1)
+    assert const.value(0.0) == 0.3
+    assert const.value(123.0) == 0.3
 
 
 def test_exponential_value_derivative_consistent():
@@ -96,36 +88,11 @@ def test_derivative_matches_finite_difference():
     models = (
         ErrorBoundModel.exponential(D=2.0, lam=-0.15),
         ErrorBoundModel.constant(0.4),
-        ErrorBoundModel.interval(lambda t: 1.0 + 0.25 * t * t),
     )
     for m in models:
         for t in (0.1, 1.0, 5.0):
             fd = (m.value(t + step) - m.value(t - step)) / (2 * step)
             assert m.derivative(t) == pytest.approx(fd, rel=1e-6, abs=1e-9)
-
-
-def test_interval_model_explicit_derivative_wins():
-    m = ErrorBoundModel.interval(lambda t: t, width_derivative=lambda t: 1.0)
-    assert m.derivative(3.0) == 1.0
-
-
-def test_interval_bound_values():
-    assert interval_bound([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert interval_bound([1.0, 1.0], [-1.0, -1.0]) == pytest.approx(math.sqrt(2.0), rel=1e-14)
-    assert interval_bound([3.0, 0.0, 4.0], [0.0, 0.0, 0.0]) == pytest.approx(2.5)
-
-
-def test_interval_bound_depends_only_on_difference():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        w = np.abs(rng.normal(size=4))
-        c = rng.normal(size=4)
-        assert interval_bound(c + w, c - w) == pytest.approx(interval_bound(w, -w), rel=1e-12)
-
-
-def test_interval_bound_order_violation():
-    with pytest.raises(ValueError):
-        interval_bound([0.0, 1.0], [0.0, 2.0])
 
 
 def test_nonnegativity_guards():
@@ -142,7 +109,7 @@ def test_rossler_observer_zero_innovation_is_drift_plus_u():
     u = np.array([0.1, 0.2, 0.3])
     a, b, c = ROSSLER_PARAMS
     drift = np.array([-xhat[1] - xhat[2], xhat[0] + a * xhat[1], b + xhat[2] * (xhat[0] - c)])
-    out = eval_observer_rhs(obs, xhat, np.array([1.0]), u, 0.0)
+    out = obs.rhs(xhat, np.array([1.0]), u, 0.0)
     np.testing.assert_allclose(out, drift + u, atol=1e-14)
 
 
@@ -151,14 +118,14 @@ def test_rossler_observer_unit_innovation():
     # cubic gain (1^3 = 1). With s1 = -3, s2 = 10 the middle row is +7.
     bound = ErrorBoundModel.constant(1.0)
     obs = make_rossler_observer(3.0, -3.0, 3.0, 10.0, 10.0, 10.0, 3, (0.2, 0.2, 5.0), bound)
-    out = eval_observer_rhs(obs, np.zeros(3), np.array([1.0]), np.zeros(3), 0.0)
+    out = obs.rhs(np.zeros(3), np.array([1.0]), np.zeros(3), 0.0)
     np.testing.assert_allclose(out, [13.0, 7.0, 13.2], atol=1e-12)
 
 
 def test_rossler_observer_cubic_term_scales():
     bound = ErrorBoundModel.constant(1.0)
     obs = make_rossler_observer(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 3, (0.2, 0.0, 5.0), bound)
-    out = eval_observer_rhs(obs, np.zeros(3), np.array([2.0]), np.zeros(3), 0.0)
+    out = obs.rhs(np.zeros(3), np.array([2.0]), np.zeros(3), 0.0)
     np.testing.assert_allclose(out, [8.0, 8.0, 8.0], atol=1e-12)  # e^3 = 8
 
 
@@ -177,9 +144,10 @@ def test_luenberger_shape_validation():
 
 
 def test_observer_rhs_dimension_mismatch():
+    # a mis-sized estimate is rejected, never broadcast
     obs = _luenberger(PRINTED_GAIN)
     with pytest.raises(ValueError):
-        eval_observer_rhs(obs, np.zeros(2), np.zeros(1), np.zeros(1), 0.0)
+        obs.rhs(np.zeros(2), np.zeros(1), np.zeros(1), 0.0)
 
 
 def test_estimation_error_within_bound_closed_loop():

@@ -1,8 +1,6 @@
 import numpy as np
-import pytest
 
-from cbfsim import ConstraintCoeffs, solve_boxed_qp, solve_halfspace_qp
-from grid_oracle import grid_box_min
+from cbfsim import ConstraintCoeffs, solve_halfspace_qp
 
 
 def _c(a, b):
@@ -107,82 +105,3 @@ def test_scale_equivariance():
         scaled = solve_halfspace_qp(u_d, _c(alpha * a, alpha * b))
         np.testing.assert_allclose(scaled.u, base.u, atol=1e-10)
         assert scaled.active == base.active
-
-
-def test_boxed_inactive_box():
-    # generous box: identical to the plain projection
-    u_d = np.array([1.0, 1.0])
-    c = _c([1.0, 0.0], -2.0)
-    plain = solve_halfspace_qp(u_d, c)
-    boxed = solve_boxed_qp(u_d, c, np.array([-10.0, -10.0]), np.array([10.0, 10.0]))
-    np.testing.assert_allclose(boxed.u, plain.u, atol=1e-12)
-    assert boxed.feasible
-
-
-def test_boxed_infeasible():
-    res = solve_boxed_qp(np.array([0.0]), _c([1.0], -2.0), np.array([-1.0]), np.array([1.0]))
-    assert not res.feasible
-    np.testing.assert_array_equal(res.u, [0.0])  # clipped nominal
-
-
-def test_boxed_face_active_hand_value():
-    # halfspace u1+u2 >= 1 with u1 capped at 0.25: optimum [0.25, 0.75]
-    res = solve_boxed_qp(
-        np.array([0.0, 0.0]), _c([1.0, 1.0], -1.0),
-        np.array([0.0, 0.0]), np.array([0.25, 2.0]),
-    )
-    assert res.feasible and res.active
-    np.testing.assert_allclose(res.u, [0.25, 0.75], atol=1e-12)
-
-
-def test_boxed_clip_shortcut():
-    # box minimizer already satisfies the halfspace
-    res = solve_boxed_qp(
-        np.array([2.0, 2.0]), _c([1.0, 1.0], -3.0),
-        np.array([0.0, 0.0]), np.array([1.0, 4.0]),
-    )
-    assert res.feasible and not res.active
-    np.testing.assert_allclose(res.u, [1.0, 2.0], atol=1e-15)
-
-
-def test_boxed_matches_grid_oracle():
-    rng = np.random.default_rng(77)
-    feasible_seen = infeasible_seen = 0
-    for _ in range(12):
-        lo = rng.uniform(-2.0, 0.0, size=2)
-        hi = lo + rng.uniform(0.5, 1.2, size=2)
-        a = rng.normal(size=2)
-        while np.linalg.norm(a) < 0.3:
-            a = rng.normal(size=2)
-        u_d = rng.normal(scale=1.5, size=2)
-        b = float(rng.normal(scale=1.5))
-        res = solve_boxed_qp(u_d, _c(a, b), lo, hi)
-        ref = grid_box_min(u_d, a, b, lo, hi)
-        if ref is None:
-            assert not res.feasible
-            infeasible_seen += 1
-            continue
-        assert res.feasible
-        assert np.linalg.norm(res.u - ref) <= 2e-3
-        feasible_seen += 1
-    assert feasible_seen and infeasible_seen  # both branches exercised
-
-
-def test_boxed_m4_reduces_to_halfspace_in_huge_box():
-    rng = np.random.default_rng(99)
-    for _ in range(25):
-        a = rng.normal(size=4)
-        if np.linalg.norm(a) < 0.3:
-            continue
-        u_d = rng.normal(size=4)
-        b = float(rng.normal())
-        plain = solve_halfspace_qp(u_d, _c(a, b))
-        boxed = solve_boxed_qp(u_d, _c(a, b), np.full(4, -100.0), np.full(4, 100.0))
-        np.testing.assert_allclose(boxed.u, plain.u, atol=1e-9)
-
-
-def test_boxed_validation():
-    with pytest.raises(ValueError):
-        solve_boxed_qp(np.zeros(5), _c(np.ones(5), 0.0), np.zeros(5), np.ones(5))
-    with pytest.raises(ValueError):
-        solve_boxed_qp(np.zeros(2), _c([1.0, 1.0], 0.0), np.array([1.0, 0.0]), np.array([0.0, 1.0]))

@@ -6,7 +6,7 @@ import pytest
 
 from cbfsim import (
     AdaptiveState,
-    BarrierRd1,
+    BarrierChain,
     ControlAffineSystem,
     EeqObserver,
     ErrorBoundModel,
@@ -20,6 +20,7 @@ from cbfsim import (
     run_simulation,
     safety_report,
 )
+from cbfsim import simloop
 from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C
 from cbfsim.presets import LUENBERGER_GAIN
 
@@ -181,8 +182,8 @@ def test_perfect_information_matches_baseline():
     cfg = SimConfig(
         system=make_example1_system(),
         observer=obs,
-        barrier=BarrierRd1(h=lambda x: x[1] - 1.0,
-                           grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0),
+        barrier=BarrierChain.rd1(h=lambda x: x[1] - 1.0,
+                                 grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0),
         fat=FatConfig(N=3, omega=1.0, E=0.0),
         adaptive0=AdaptiveState(theta_hat=np.zeros((3, 3)),
                                 theta_bar=np.full(3, 0.5),
@@ -203,7 +204,7 @@ def test_hold_mode_keeps_last_feasible_control():
     # flips sign between t = 0.64 and t = 0.65. After that the QP is
     # infeasible; "hold" must repeat the last feasible control while
     # "nominal" keeps tracking the time-varying nominal.
-    bound = ErrorBoundModel.interval(lambda t: t, lambda t: 1.0)
+    bound = ErrorBoundModel(value=lambda t: t, derivative=lambda t: 1.0)
     sys_ = ControlAffineSystem(
         n=1, m=1, k=1,
         drift=lambda x: np.zeros(1),
@@ -214,7 +215,7 @@ def test_hold_mode_keeps_last_feasible_control():
     cfg = SimConfig(
         system=sys_,
         observer=obs,
-        barrier=BarrierRd1(h=lambda x: x[0], grad_h=lambda x: np.ones(1), L=1.0),
+        barrier=BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.ones(1), L=1.0),
         fat=FatConfig(N=1, omega=1.0, E=0.0),
         adaptive0=AdaptiveState(theta_hat=np.zeros((1, 1)),
                                 theta_bar=np.array([1e-8]),
@@ -270,3 +271,24 @@ def test_step_size_robustness():
     # must barely move the endpoint and the safety margin
     assert np.linalg.norm(coarse.x[-1] - fine.x[-1]) < 5e-3
     assert abs(coarse.h_true.min() - fine.h_true.min()) < 1e-4
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1c"])
+def test_constraint_rdr_is_the_only_row_seam(monkeypatch, name):
+    # one barrier type, one constraint path: the proposed loop assembles its
+    # row through simloop.constraint_rdr once per row, whatever the chain's r
+    calls = []
+    real = simloop.constraint_rdr
+
+    def counting(*args):
+        calls.append(args[0].r)
+        return real(*args)
+
+    monkeypatch.setattr(simloop, "constraint_rdr", counting)
+    cfg = replace(make_preset(name).cfg, t_end=0.05)
+    proposed = run_simulation(cfg)
+    assert len(calls) == len(proposed) == 51
+    assert set(calls) == {cfg.barrier.r}
+    calls.clear()
+    run_simulation(replace(cfg, controller="baseline"))
+    assert calls == []
