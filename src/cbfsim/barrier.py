@@ -22,7 +22,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControlAffineSystem, eval_drift, eval_input_matrix
+from .dynamics import ControlAffineSystem, check_shape
+from .dynamics import eval_drift, eval_input_matrix  # noqa: F401  (rebound by bench/tracer.py)
 from .fat import AdaptiveState, FatConfig, fat_eval
 from .observer import ErrorBoundModel
 
@@ -69,6 +70,13 @@ class BarrierChain:
     ) -> "BarrierChain":
         """The relative-degree-1 barrier h with gradient grad_h and Lipschitz constant L."""
         return cls(r=1, s=(h,), grad_s=(grad_h,), lam=(), L_k=(L,))
+
+    def check_at(self, x: Vector) -> None:
+        """Evaluate every s_k and grad_s_k once at x, raising ValueError
+        unless s_k is a scalar and grad_s_k has x's length."""
+        for k in range(self.r):
+            check_shape(f"s_{k}", self.s[k](x), ())
+            check_shape(f"grad_s_{k}", self.grad_s[k](x), (len(x),))
 
 
 @dataclass(frozen=True)
@@ -121,16 +129,17 @@ def constraint_rdr(
 
     a = grad_s . g.  b collects the drift and series terms along grad_s,
     the bound's drift -L dM/dt, the residual margin -||grad_s|| E, and the
-    zeroing terms mu h_eps - mu N epsilon.
+    zeroing terms mu h_eps - mu N epsilon. The plant callables are called
+    directly; SimConfig checks their shapes once.
     """
     top = chain.r - 1
     L = chain.L_k[top]
     xhat = np.asarray(xhat, dtype=float)
     grad = np.asarray(chain.grad_s[top](xhat), dtype=float)
-    a = grad @ eval_input_matrix(sys, xhat)
+    a = grad @ sys.input_map(xhat)
     deflated = float(chain.s[top](xhat)) - L * float(bound.value(t)) - state.epsilon
     b = (
-        grad @ (eval_drift(sys, xhat) + fat_eval(state, cfg, t))
+        grad @ (sys.drift(xhat) + fat_eval(state, cfg, t))
         - L * float(bound.derivative(t))
         - float(np.linalg.norm(grad)) * cfg.E
         + state.mu * deflated

@@ -123,25 +123,23 @@ def parse_config(text: str) -> SimConfig:
     return apply_overrides(make_preset(name).cfg, overrides)
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".12g")
+# Rows are formatted and joined per block of this many, so that only one
+# block of cells is held as Python objects at a time.
+_CSV_BLOCK = 64
 
 
 def emit_csv(trace: SimTrace) -> str:
     """Render a trace as CSV: 12 significant digits, booleans 0/1, LF rows."""
     if len(trace) == 0:
         raise ValueError("trace is empty")
-    cols = trace.columns()
-    names = list(cols)
-    bool_cols = {name for name, col in cols.items() if col.dtype == np.bool_}
-    lines = [",".join(names)]
-    for i in range(len(trace)):
-        fields = [
-            ("1" if cols[name][i] else "0") if name in bool_cols else _fmt(cols[name][i])
-            for name in names
-        ]
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    cols = list(trace.columns().items())
+    row_fmt = ",".join(["{:.12g}"] * len(cols))  # formats True/False as 1/0
+    chunks = [",".join(name for name, _ in cols)]
+    for start in range(0, len(trace), _CSV_BLOCK):
+        block = [col[start:start + _CSV_BLOCK].tolist() for _, col in cols]
+        chunks.append("\n".join([row_fmt.format(*row) for row in zip(*block)]))
+    chunks.append("")
+    return "\n".join(chunks)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")

@@ -42,6 +42,14 @@ class ControlAffineSystem:
             raise ValueError("dimensions n, m, k must be positive")
 
 
+def check_shape(name: str, value, shape: tuple) -> np.ndarray:
+    """value as a float array; ValueError naming `name` unless it has `shape`."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
+    return value
+
+
 def _check_state(sys: ControlAffineSystem, x: Vector) -> Vector:
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
@@ -50,21 +58,26 @@ def _check_state(sys: ControlAffineSystem, x: Vector) -> Vector:
 
 
 def eval_drift(sys: ControlAffineSystem, x: Vector) -> Vector:
-    """f(x)."""
-    return np.asarray(sys.drift(_check_state(sys, x)), dtype=float)
+    """f(x), shaped (n,)."""
+    return check_shape("drift", sys.drift(_check_state(sys, x)), (sys.n,))
 
 
 def eval_input_matrix(sys: ControlAffineSystem, x: Vector) -> Matrix:
     """g(x), shaped (n, m)."""
-    g = np.asarray(sys.input_map(_check_state(sys, x)), dtype=float)
-    if g.shape != (sys.n, sys.m):
-        raise ValueError(f"input map returned shape {g.shape}, expected ({sys.n}, {sys.m})")
-    return g
+    return check_shape("input map", sys.input_map(_check_state(sys, x)), (sys.n, sys.m))
 
 
 def eval_output(sys: ControlAffineSystem, x: Vector) -> Vector:
     """l(x), shaped (k,)."""
-    return np.asarray(sys.output_map(_check_state(sys, x)), dtype=float)
+    return check_shape("output map", sys.output_map(_check_state(sys, x)), (sys.k,))
+
+
+def check_callables(sys: ControlAffineSystem, x: Vector) -> Vector:
+    """Evaluate f, g and l once at x, raising ValueError on a wrong shape;
+    returns l(x)."""
+    eval_drift(sys, x)
+    eval_input_matrix(sys, x)
+    return eval_output(sys, x)
 
 
 def make_example1_system() -> ControlAffineSystem:

@@ -58,7 +58,7 @@ class AdaptiveState:
             raise ValueError("theta_hat must be an (N, n) array")
         if tb.shape != (th.shape[0],):
             raise ValueError("theta_bar must have one entry per parameter vector")
-        if not np.all(tb > 0):
+        if not (tb > 0).all():
             raise ValueError("all theta_bar entries must be > 0")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be > 0")
@@ -68,21 +68,32 @@ class AdaptiveState:
         object.__setattr__(self, "theta_bar", tb)
 
 
+def _series_terms(N: int, omega: float) -> tuple:
+    """(cos or sin, k omega) for phi_1..phi_N: phi_{2k-1}(t) = cos(k omega t)
+    and phi_{2k}(t) = sin(k omega t)."""
+    return tuple(
+        (math.cos if i % 2 == 1 else math.sin, ((i + 1) // 2) * omega)
+        for i in range(1, N + 1)
+    )
+
+
+def _row(terms: tuple, t: float) -> Vector:
+    return np.array([fn(w * t) for fn, w in terms])
+
+
 def basis(i: int, omega: float, t: float) -> float:
     """phi_i(t): 1 for i=0, cos(k omega t) for i=2k-1, sin(k omega t) for i=2k."""
     if i < 0:
         raise ValueError("i must be >= 0")
     if i == 0:
         return 1.0
-    k = (i + 1) // 2
-    if i % 2 == 1:
-        return math.cos(k * omega * t)
-    return math.sin(k * omega * t)
+    fn, w = _series_terms(i, omega)[-1]
+    return fn(w * t)
 
 
 def basis_row(N: int, omega: float, t: float) -> Vector:
     """[phi_1(t), ..., phi_N(t)] as a dense row."""
-    return np.array([basis(i, omega, t) for i in range(1, N + 1)])
+    return _row(_series_terms(N, omega), t)
 
 
 def fat_eval(state: AdaptiveState, cfg: FatConfig, t: float) -> Vector:
@@ -91,6 +102,33 @@ def fat_eval(state: AdaptiveState, cfg: FatConfig, t: float) -> Vector:
     if state.theta_hat.shape[0] != cfg.N:
         raise ValueError(f"state holds {state.theta_hat.shape[0]} parameter vectors, config says N={cfg.N}")
     return basis_row(cfg.N, cfg.omega, t) @ state.theta_hat
+
+
+@dataclass(frozen=True)
+class AdaptiveLaw:
+    """The adaptive law with its run constants computed once: the gains
+    -theta_bar_i^2 / (2 epsilon), the leak rate mu and the basis terms.
+
+    `rhs` does only the math and checks nothing; `adaptive_rhs` is the
+    validating entry point for direct callers.
+    """
+
+    gain: Vector
+    mu: float
+    terms: tuple
+
+    @classmethod
+    def of(cls, state: AdaptiveState, cfg: FatConfig) -> "AdaptiveLaw":
+        gain = -(state.theta_bar ** 2) / (2.0 * state.epsilon)
+        return cls(gain=gain, mu=state.mu, terms=_series_terms(cfg.N, cfg.omega))
+
+    def basis_row(self, t: float) -> Vector:
+        """[phi_1(t), ..., phi_N(t)]."""
+        return _row(self.terms, t)
+
+    def rhs(self, theta_hat: np.ndarray, grad: Vector, phis: Vector) -> np.ndarray:
+        """(N, n) derivative of theta_hat, given grad and the basis row at t."""
+        return (self.gain * phis)[:, None] * grad - self.mu * theta_hat
 
 
 def adaptive_rhs(state: AdaptiveState, grad: Vector, cfg: FatConfig, t: float) -> np.ndarray:
@@ -107,6 +145,5 @@ def adaptive_rhs(state: AdaptiveState, grad: Vector, cfg: FatConfig, t: float) -
         raise ValueError("grad length must match the parameter vector length")
     if state.theta_hat.shape[0] != cfg.N:
         raise ValueError(f"state holds {state.theta_hat.shape[0]} parameter vectors, config says N={cfg.N}")
-    phis = basis_row(cfg.N, cfg.omega, t)
-    gain = -(state.theta_bar ** 2) / (2.0 * state.epsilon)
-    return (gain * phis)[:, None] * grad[None, :] - state.mu * state.theta_hat
+    law = AdaptiveLaw.of(state, cfg)
+    return law.rhs(state.theta_hat, grad, basis_row(cfg.N, cfg.omega, t))

@@ -45,7 +45,7 @@ def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float) -> Vector:
     k3 = np.asarray(rhs(t + 0.5 * dt, state + 0.5 * dt * k2), dtype=float)
     k4 = np.asarray(rhs(t + dt, state + dt * k3), dtype=float)
     out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise IntegrationError(f"non-finite rhs output near t={t!r}", t, np.asarray(state))
     return out
 

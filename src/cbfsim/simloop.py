@@ -22,19 +22,22 @@ from typing import Callable, Optional
 import numpy as np
 
 from .barrier import BarrierChain, ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
-from .dynamics import ControlAffineSystem, eval_drift, eval_input_matrix, eval_output
-from .fat import AdaptiveState, FatConfig, adaptive_rhs
+from .dynamics import ControlAffineSystem, check_callables, check_shape
+from .fat import AdaptiveLaw, AdaptiveState, FatConfig
 from .integrator import IntegrationError, OdeProblem, rk4_step, time_grid
 from .observer import EeqObserver
 from .qp import solve_halfspace_qp
 
-Vector = np.ndarray
-
-# Former names, kept only because bench/tracer.py rebinds them; nothing calls them.
+# Names kept only because bench/tracer.py rebinds them; the loop calls none.
+from .dynamics import eval_drift, eval_input_matrix, eval_output  # noqa: F401
+from .fat import adaptive_rhs  # noqa: F401
 constraint_rd1, epsilon_bound_rd1 = constraint_rdr, epsilon_bound_rdr
+
+Vector = np.ndarray
 
 CONTROLLERS = ("proposed", "baseline")
 INFEASIBLE_MODES = ("nominal", "hold")
+MAX_STEPS = 10**7  # largest t_end / dt a run may allocate traces for
 
 
 class RunError(RuntimeError):
@@ -47,6 +50,11 @@ class RunError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One closed-loop run. Construction is the validation boundary: it
+    checks the scalars, caps t_end / dt at MAX_STEPS and evaluates every
+    callable once at the initial data, so that the loop calls them unchecked.
+    """
+
     system: ControlAffineSystem
     observer: EeqObserver
     barrier: BarrierChain
@@ -73,6 +81,9 @@ class SimConfig:
             raise ValueError(f"on_infeasible must be one of {INFEASIBLE_MODES}")
         if not self.baseline_gamma > 0:
             raise ValueError("baseline_gamma must be > 0")
+        steps = self.t_end / self.dt
+        if steps > MAX_STEPS:
+            raise ValueError(f"t_end / dt asks for {steps:.6g} steps; at most {MAX_STEPS} are allowed")
         x0 = np.asarray(self.x0, dtype=float)
         xhat0 = np.asarray(self.xhat0, dtype=float)
         n = self.system.n
@@ -84,6 +95,15 @@ class SimConfig:
             raise ValueError(f"adaptive0.theta_hat must be ({self.fat.N}, {n})")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xhat0", xhat0)
+        self._check_callables()
+
+    def _check_callables(self) -> None:
+        """ValueError unless f, g, l, u_nominal, the observer rhs and every
+        s_k and grad_s_k return the shapes the loop relies on."""
+        y0 = check_callables(self.system, self.x0)
+        u0 = check_shape("u_nominal", self.u_nominal(0.0, self.xhat0), (self.system.m,))
+        check_shape("observer rhs", self.observer.rhs(self.xhat0, y0, u0, 0.0), (self.system.n,))
+        self.barrier.check_at(self.xhat0)
 
 
 @dataclass(frozen=True)
@@ -163,10 +183,13 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             )
 
     sys_ = cfg.system
-    obs = cfg.observer
+    drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map
+    obs_rhs = cfg.observer.rhs
+    bound_model = cfg.observer.bound
     fat_cfg = cfg.fat
     state0 = cfg.adaptive0
     n, m, N = sys_.n, sys_.m, fat_cfg.N
+    n2 = 2 * n
     chain = cfg.barrier
     top = chain.r - 1
     # Level 0 is the barrier h itself (true safety, deflated h0, baseline
@@ -174,7 +197,6 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     base_h, base_grad, base_L = chain.s[0], chain.grad_s[0], chain.L_k[0]
     top_s, grad_fn, L_top = chain.s[top], chain.grad_s[top], chain.L_k[top]
     proposed = cfg.controller == "proposed"
-    bound_model = obs.bound
     times = time_grid(0.0, cfg.t_end, cfg.dt)
     S = times.shape[0]
     tr_x = np.empty((S, n)); tr_xhat = np.empty((S, n)); tr_u = np.empty((S, m))
@@ -184,43 +206,66 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
     u_current = np.zeros(m)  # held control, rebound each step
 
-    def rhs(t: float, z: Vector) -> Vector:
-        x = z[:n]
-        xhat = z[n:2 * n]
-        dz = np.empty_like(z)
-        dz[:n] = eval_drift(sys_, x) + eval_input_matrix(sys_, x) @ u_current
-        dz[n:2 * n] = obs.rhs(xhat, eval_output(sys_, x), u_current, t)
-        if proposed:
-            st = replace(state0, theta_hat=z[2 * n:].reshape(N, n))
-            dz[2 * n:] = adaptive_rhs(st, grad_fn(xhat), fat_cfg, t).ravel()
-        else:
-            dz[2 * n:] = 0.0
-        return dz
+    if proposed:
+        # z = (x, xhat, theta_hat); the basis row is reused while the stage
+        # time repeats (RK4 stages 2 and 3 share t + dt/2).
+        law = AdaptiveLaw.of(state0, fat_cfg)
+        law_rhs, law_row = law.rhs, law.basis_row
+        row_t, row = None, None
 
-    problem = OdeProblem(dim=2 * n + N * n, rhs=rhs)
-    z = np.concatenate([cfg.x0, cfg.xhat0, state0.theta_hat.ravel()])
+        def rhs(t: float, z: Vector) -> Vector:
+            nonlocal row_t, row
+            x = z[:n]
+            xhat = z[n:n2]
+            if t != row_t:
+                row_t, row = t, law_row(t)
+            dz = np.empty_like(z)
+            dz[:n] = drift(x) + input_map(x) @ u_current
+            dz[n:n2] = obs_rhs(xhat, output_map(x), u_current, t)
+            dz[n2:] = law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), row).ravel()
+            return dz
+
+        z = np.concatenate([cfg.x0, cfg.xhat0, state0.theta_hat.ravel()])
+    else:
+        # z = (x, xhat): theta_hat is frozen, so its RK4 update would be an
+        # exact zero.
+        def rhs(t: float, z: Vector) -> Vector:
+            x = z[:n]
+            dz = np.empty_like(z)
+            dz[:n] = drift(x) + input_map(x) @ u_current
+            dz[n:] = obs_rhs(z[n:], output_map(x), u_current, t)
+            return dz
+
+        z = np.concatenate([cfg.x0, cfg.xhat0])
+        tr_th[:] = np.linalg.norm(state0.theta_hat, axis=1)
+
+    problem = OdeProblem(dim=z.shape[0], rhs=rhs)
+    gamma = cfg.baseline_gamma
+    hold = cfg.on_infeasible == "hold"
+    u_nominal = cfg.u_nominal
+    eps = state0.epsilon
     last_feasible_u: Optional[Vector] = None
 
-    for i, t in enumerate(times):
-        t = float(t)
+    for i in range(S):
+        t = times.item(i)
         x = z[:n]
-        xhat = z[n:2 * n]
-        theta = z[2 * n:].reshape(N, n)
-        st = replace(state0, theta_hat=theta)
-        u_d = np.asarray(cfg.u_nominal(t, xhat), dtype=float)
+        xhat = z[n:n2]
+        u_d = np.asarray(u_nominal(t, xhat), dtype=float)
         if proposed:
+            theta = z[n2:].reshape(N, n)
+            st = AdaptiveState(theta_hat=theta, theta_bar=state0.theta_bar, epsilon=eps, mu=state0.mu)
             coeffs = constraint_rdr(chain, sys_, xhat, t, bound_model, st, fat_cfg)
         else:
             g = base_grad(xhat)
             coeffs = ConstraintCoeffs(
-                a=g @ eval_input_matrix(sys_, xhat),
-                b=float(g @ eval_drift(sys_, xhat) + cfg.baseline_gamma * base_h(xhat)),
+                a=g @ input_map(xhat),
+                b=float(g @ drift(xhat) + gamma * base_h(xhat)),
             )
         res = solve_halfspace_qp(u_d, coeffs)
         if res.feasible:
             u = res.u
             last_feasible_u = u
-        elif cfg.on_infeasible == "hold" and last_feasible_u is not None:
+        elif hold and last_feasible_u is not None:
             u = last_feasible_u
         else:
             u = u_d
@@ -230,17 +275,19 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
         tr_h[i] = base_h(x)
         tr_h0[i] = float(base_h(xhat)) - base_L * M
-        tr_eps[i] = float(top_s(xhat)) - L_top * M - state0.epsilon
+        tr_eps[i] = float(top_s(xhat)) - L_top * M - eps
         tr_res[i] = coeffs.residual(u)
         tr_M[i] = M
-        tr_th[i] = np.linalg.norm(theta, axis=1)
+        if proposed:
+            # np.linalg.norm(theta, axis=1) without its dispatch, same bits
+            tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
         tr_act[i] = res.active
         tr_feas[i] = res.feasible
 
         if i == S - 1:
             break
         try:
-            z = rk4_step(problem, t, z, float(times[i + 1] - t))
+            z = rk4_step(problem, t, z, times.item(i + 1) - t)
         except IntegrationError as err:
             raise RunError(
                 f"state became non-finite during the step starting at t={t:.6g}",
@@ -248,7 +295,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             ) from err
 
     return SimTrace(
-        t=times.astype(float), x=tr_x, xhat=tr_xhat, u=tr_u, h_true=tr_h,
+        t=times, x=tr_x, xhat=tr_xhat, u=tr_u, h_true=tr_h,
         h0=tr_h0, barrier_eps=tr_eps, residual=tr_res, M=tr_M,
         theta_norms=tr_th, qp_active=tr_act, qp_feasible=tr_feas,
     )

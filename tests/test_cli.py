@@ -370,3 +370,19 @@ def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
     assert proc.stderr.splitlines() == ["error: invalid value for 't_end': expected a number"]
     assert "Traceback" not in proc.stdout + proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_step_cap_is_one_error_line(tmp_path):
+    # t_end / dt = 1e15 steps: rejected by SimConfig's step cap from the
+    # arithmetic alone, before any time grid or trace is allocated
+    env = dict(os.environ, PYTHONPATH=str(Path(cbfsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbfsim", "run", "--preset", "example1a", "--t-end", "1e12",
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "error: t_end / dt asks for 1e+15 steps; at most 10000000 are allowed"]
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert not (tmp_path / "out").exists()

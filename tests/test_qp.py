@@ -1,4 +1,6 @@
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbfsim import ConstraintCoeffs, solve_halfspace_qp
 
@@ -105,3 +107,44 @@ def test_scale_equivariance():
         scaled = solve_halfspace_qp(u_d, _c(alpha * a, alpha * b))
         np.testing.assert_allclose(scaled.u, base.u, atol=1e-10)
         assert scaled.active == base.active
+
+
+# Entries of a are exactly 0 or at least 1e-6 in magnitude, so that ||a||^2
+# is either 0 or a normal float (the projection divides by it).
+_entry = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+_a_entry = st.one_of(st.just(0.0), _entry.filter(lambda v: abs(v) >= 1e-6))
+
+
+@st.composite
+def _qp_instances(draw):
+    m = draw(st.integers(1, 4))
+    u_d = np.array(draw(st.lists(_entry, min_size=m, max_size=m)))
+    a = np.array(draw(st.lists(_a_entry, min_size=m, max_size=m)))
+    return u_d, a, draw(_entry)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_qp_instances())
+def test_projection_kkt_and_idempotence(instance):
+    # min ||u - u_d||^2 s.t. a.u + b >= 0: u - u_d = lam a with lam >= 0,
+    # a.u + b >= 0 and lam (a.u + b) = 0; projecting the answer again
+    # returns it
+    u_d, a, b = instance
+    c = _c(a, b)
+    res = solve_halfspace_qp(u_d, c)
+    nrm2 = float(a @ a)
+    if not res.feasible:
+        assert nrm2 == 0.0 and b < 0.0 and not res.active
+        np.testing.assert_array_equal(res.u, u_d)
+        return
+    scale = 1.0 + abs(b) + float(np.linalg.norm(a)) * float(np.linalg.norm(res.u))
+    slack = float(a @ res.u + b)
+    assert slack >= -1e-12 * scale
+    lam = float(a @ (res.u - u_d)) / nrm2 if nrm2 > 0.0 else 0.0
+    np.testing.assert_allclose(res.u - u_d, lam * a, atol=1e-12 * (1.0 + float(np.abs(u_d).max())))
+    assert lam >= 0.0
+    assert abs(lam * slack) <= 1e-9 * scale * (1.0 + lam)
+    assert res.active == (lam > 0.0)
+    again = solve_halfspace_qp(res.u, c)
+    assert again.feasible
+    np.testing.assert_allclose(again.u, res.u, rtol=1e-12, atol=1e-12 * scale)

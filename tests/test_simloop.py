@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from cbfsim import (
     FatConfig,
     RunError,
     SimConfig,
+    emit_csv,
     make_example1_system,
     make_luenberger,
     make_preset,
@@ -53,6 +55,34 @@ def test_config_validation():
         replace(cfg, adaptive0=AdaptiveState(
             theta_hat=np.zeros((2, 3)), theta_bar=np.full(2, 0.5),
             epsilon=0.1, mu=3.5))
+
+
+def _bad_callable(cfg: SimConfig, what: str) -> dict:
+    """One SimConfig change that makes a single callable return a wrong shape."""
+    sys_, chain = cfg.system, cfg.barrier
+    if what == "drift":
+        return {"system": replace(sys_, drift=lambda x: np.zeros(4))}
+    if what == "input map":
+        return {"system": replace(sys_, input_map=lambda x: np.zeros((4, 1)))}
+    if what == "output map":
+        return {"system": replace(sys_, output_map=lambda x: np.zeros(2))}
+    if what == "observer rhs":
+        return {"observer": replace(cfg.observer, rhs=lambda xh, y, u, t: np.zeros(2))}
+    if what == "s_0":
+        return {"barrier": BarrierChain.rd1(h=lambda x: x[:2], grad_h=chain.grad_s[0], L=1.0)}
+    if what == "grad_s_0":
+        return {"barrier": BarrierChain.rd1(h=chain.s[0], grad_h=lambda x: np.ones(2), L=1.0)}
+    return {"u_nominal": lambda t, xh: np.zeros(2)}
+
+
+@pytest.mark.parametrize(
+    "what", ["drift", "input map", "output map", "observer rhs", "s_0", "grad_s_0", "u_nominal"])
+def test_config_checks_callable_shapes_at_construction(what):
+    # the loop calls these unchecked, so a wrong shape must fail when the
+    # config is built, naming the callable
+    cfg = _cfg_1a()
+    with pytest.raises(ValueError, match=f"^{what} returned shape"):
+        replace(cfg, **_bad_callable(cfg, what))
 
 
 def test_time_grid_and_shapes(preset_runs):
@@ -292,3 +322,33 @@ def test_constraint_rdr_is_the_only_row_seam(monkeypatch, name):
     calls.clear()
     run_simulation(replace(cfg, controller="baseline"))
     assert calls == []
+
+
+# sha256 of emit_csv for runs off the preset defaults: omega = 0.7, E = 0.3,
+# a nonzero theta_hat0, "hold" and a shortened last step (t_end = 2.3004).
+# Pins the basis frequencies k omega, the series and leak terms of the
+# adaptive law, the stage-time handling and the final step.
+ADAPTIVE_PATH_SHA256 = {
+    ("example1a", "proposed"): "c282ec7ea67c3c84060533e0e7ef18897f271915d1ab442702d9b6bb6faf6a7b",
+    ("example1a", "baseline"): "2a4af3d9df6826569cfc5d7e9836c1dc6350d980150c8c84b67d47a31f68df87",
+    ("example2", "proposed"): "83d8ccfe60996b94c9678e17fde68f8f79b9f73e69c5da3d6f3f0ede9f473346",
+    ("example2", "baseline"): "7c37a803f023c2724aea942fc100cb32d1d8ac061836b46e90a407e1d59cf2fa",
+}
+THETA0_OFF_DEFAULT = np.array([[0.05, -0.02, 0.01], [0.0, 0.03, -0.04], [-0.01, 0.02, 0.06]])
+
+
+@pytest.mark.parametrize("name", ["example1a", "example2"])
+def test_adaptive_path_off_preset_defaults_pinned(name):
+    cfg = make_preset(name).cfg
+    cfg = replace(
+        cfg,
+        fat=FatConfig(N=3, omega=0.7, E=0.3),
+        adaptive0=AdaptiveState(theta_hat=THETA0_OFF_DEFAULT, theta_bar=cfg.adaptive0.theta_bar,
+                                epsilon=cfg.adaptive0.epsilon, mu=cfg.adaptive0.mu),
+        on_infeasible="hold", t_end=2.3004, dt=1e-3,
+    )
+    runs = dict(zip(("proposed", "baseline"), run_pair(cfg)))
+    assert runs["proposed"].t[-1] == 2.3004 and len(runs["proposed"]) == 2302
+    for controller, trace in runs.items():
+        digest = hashlib.sha256(emit_csv(trace).encode()).hexdigest()
+        assert digest == ADAPTIVE_PATH_SHA256[(name, controller)], controller
