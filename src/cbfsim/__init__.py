@@ -22,7 +22,7 @@ from .dynamics import (
     make_example1_system,
     make_rossler_system,
 )
-from .fat import AdaptiveState, FatConfig, adaptive_rhs, basis, basis_row, fat_eval
+from .fat import AdaptiveLaw, AdaptiveState, FatConfig, adaptive_rhs, basis, basis_row, fat_eval
 from .integrator import IntegrationError, OdeProblem, integrate, rk4_step, time_grid
 from .observer import (
     EeqObserver,
@@ -46,6 +46,7 @@ from .simloop import (
 __version__ = "0.1.0"
 
 __all__ = [
+    "AdaptiveLaw",
     "AdaptiveState",
     "BarrierChain",
     "ConstraintCoeffs",

@@ -17,15 +17,19 @@ a . u + b >= 0 on the top level s_{r-1}, handed to the QP module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .dynamics import ControlAffineSystem, check_shape
-from .dynamics import eval_drift, eval_input_matrix  # noqa: F401  (rebound by bench/tracer.py)
-from .fat import AdaptiveState, FatConfig, fat_eval
+from .fat import AdaptiveLaw, AdaptiveState, FatConfig
 from .observer import ErrorBoundModel
+
+# Names kept only because bench/tracer.py rebinds them; nothing here calls them.
+from .dynamics import eval_drift, eval_input_matrix  # noqa: F401
+from .fat import fat_eval  # noqa: F401
 
 Vector = np.ndarray
 
@@ -87,7 +91,7 @@ class ConstraintCoeffs:
     b: float
 
     def residual(self, u: Vector) -> float:
-        return float(self.a @ u + self.b)
+        return float(np.dot(self.a, u) + self.b)
 
 
 def chain_s_eval(chain: BarrierChain, k: int, x: Vector) -> float:
@@ -122,27 +126,31 @@ def epsilon_bound_rdr(
 
 
 def constraint_rdr(
-    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, t: float,
-    bound: ErrorBoundModel, state: AdaptiveState, cfg: FatConfig,
+    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector,
+    law: AdaptiveLaw, theta_hat: np.ndarray, M: float, dM: float, phis: Vector, E: float,
 ) -> ConstraintCoeffs:
     """Constraint row on the top chain level s = s_{r-1} with constant L = L_{r-1}.
 
     a = grad_s . g.  b collects the drift and series terms along grad_s,
     the bound's drift -L dM/dt, the residual margin -||grad_s|| E, and the
-    zeroing terms mu h_eps - mu N epsilon. The plant callables are called
-    directly; SimConfig checks their shapes once.
+    zeroing terms mu h_eps - mu N epsilon. The inputs are precomputed by the
+    caller: the run's adaptive law (mu, epsilon, N), the (N, n) estimates
+    theta_hat, the error bound M(t) and its derivative dM(t), the basis row
+    phis = [phi_1(t), ..., phi_N(t)] and the tail bound E. The plant and
+    barrier callables are called directly; SimConfig checks their shapes once.
     """
     top = chain.r - 1
     L = chain.L_k[top]
+    eps, mu = law.epsilon, law.mu
     xhat = np.asarray(xhat, dtype=float)
     grad = np.asarray(chain.grad_s[top](xhat), dtype=float)
-    a = grad @ sys.input_map(xhat)
-    deflated = float(chain.s[top](xhat)) - L * float(bound.value(t)) - state.epsilon
+    a = np.dot(grad, sys.input_map(xhat))
+    deflated = float(chain.s[top](xhat)) - L * M - eps
     b = (
-        grad @ (sys.drift(xhat) + fat_eval(state, cfg, t))
-        - L * float(bound.derivative(t))
-        - float(np.linalg.norm(grad)) * cfg.E
-        + state.mu * deflated
-        - state.mu * cfg.N * state.epsilon
+        grad.dot(sys.drift(xhat) + phis.dot(theta_hat))
+        - L * dM
+        - math.sqrt(grad.dot(grad)) * E
+        + mu * deflated
+        - mu * law.N * eps
     )
     return ConstraintCoeffs(a=a, b=float(b))

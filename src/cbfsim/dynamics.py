@@ -84,21 +84,23 @@ def make_example1_system() -> ControlAffineSystem:
     """Linear 3-state plant: dx/dt = A x + B u, y = C x."""
     return ControlAffineSystem(
         n=3, m=1, k=1,
-        drift=lambda x: EXAMPLE1_A @ x,
+        drift=lambda x: EXAMPLE1_A.dot(x),
         input_map=lambda x: EXAMPLE1_B,
-        output_map=lambda x: EXAMPLE1_C @ x,
+        output_map=lambda x: EXAMPLE1_C.dot(x),
     )
 
 
 def make_rossler_system(a: float, b: float, c: float) -> ControlAffineSystem:
     """Rossler plant with identity input map and output x1.
 
-    Drift is [-x2 - x3, x1 + a x2, b + x3 (x1 - c)].
+    Drift is [-x2 - x3, x1 + a x2, b + x3 (x1 - c)]; it takes x as a float
+    array and does the arithmetic on Python floats.
     """
     eye = np.eye(3)
 
     def drift(x: Vector) -> Vector:
-        return np.array([-x[1] - x[2], x[0] + a * x[1], b + x[2] * (x[0] - c)])
+        x1, x2, x3 = x.tolist()
+        return np.array([-x2 - x3, x1 + a * x2, b + x3 * (x1 - c)])
 
     return ControlAffineSystem(
         n=3, m=3, k=1,

@@ -101,13 +101,15 @@ def fat_eval(state: AdaptiveState, cfg: FatConfig, t: float) -> Vector:
     not part of the estimated series)."""
     if state.theta_hat.shape[0] != cfg.N:
         raise ValueError(f"state holds {state.theta_hat.shape[0]} parameter vectors, config says N={cfg.N}")
-    return basis_row(cfg.N, cfg.omega, t) @ state.theta_hat
+    return basis_row(cfg.N, cfg.omega, t).dot(state.theta_hat)
 
 
 @dataclass(frozen=True)
 class AdaptiveLaw:
     """The adaptive law with its run constants computed once: the gains
-    -theta_bar_i^2 / (2 epsilon), the leak rate mu and the basis terms.
+    -theta_bar_i^2 / (2 epsilon), the leak rate mu, the margin split
+    epsilon and the basis terms (N of them). The constraint row reads mu,
+    epsilon and N from here too.
 
     `rhs` does only the math and checks nothing; `adaptive_rhs` is the
     validating entry point for direct callers.
@@ -115,12 +117,19 @@ class AdaptiveLaw:
 
     gain: Vector
     mu: float
+    epsilon: float
     terms: tuple
 
     @classmethod
     def of(cls, state: AdaptiveState, cfg: FatConfig) -> "AdaptiveLaw":
         gain = -(state.theta_bar ** 2) / (2.0 * state.epsilon)
-        return cls(gain=gain, mu=state.mu, terms=_series_terms(cfg.N, cfg.omega))
+        return cls(gain=gain, mu=state.mu, epsilon=state.epsilon,
+                   terms=_series_terms(cfg.N, cfg.omega))
+
+    @property
+    def N(self) -> int:
+        """Number of estimated series terms."""
+        return len(self.terms)
 
     def basis_row(self, t: float) -> Vector:
         """[phi_1(t), ..., phi_N(t)]."""

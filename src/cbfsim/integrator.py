@@ -36,15 +36,21 @@ class OdeProblem:
 
 
 def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float) -> Vector:
-    """One classical 4-stage step from (t, state) with step size dt > 0."""
+    """One classical 4-stage step from (t, state) with step size dt > 0.
+
+    state and every rhs return value must be float arrays of length dim.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     rhs = problem.rhs
-    k1 = np.asarray(rhs(t, state), dtype=float)
-    k2 = np.asarray(rhs(t + 0.5 * dt, state + 0.5 * dt * k1), dtype=float)
-    k3 = np.asarray(rhs(t + 0.5 * dt, state + 0.5 * dt * k2), dtype=float)
-    k4 = np.asarray(rhs(t + dt, state + dt * k3), dtype=float)
-    out = state + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    half = 0.5 * dt
+    t_mid = t + half
+    k1 = rhs(t, state)
+    k2 = rhs(t_mid, state + half * k1)
+    k3 = rhs(t_mid, state + half * k2)
+    k4 = rhs(t + dt, state + dt * k3)
+    # k + k equals 2.0 * k exactly and skips a multiplication
+    out = state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
     if not np.isfinite(out).all():
         raise IntegrationError(f"non-finite rhs output near t={t!r}", t, np.asarray(state))
     return out

@@ -9,6 +9,7 @@ violations instead of halting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -87,7 +88,7 @@ def make_luenberger(A: Matrix, B: Matrix, C: Matrix, gain: Matrix, bound: ErrorB
         raise ValueError("gain must be n x k")
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
-        return A @ xhat + B @ u + gain @ (y - C @ xhat)
+        return A.dot(xhat) + B.dot(u) + gain.dot(y - C.dot(xhat))
 
     return EeqObserver(dim=n, rhs=rhs, bound=bound)
 
@@ -109,19 +110,25 @@ def make_rossler_observer(
         dxhat3/dt =  b + xhat3 (xhat1 - c) + r1 e + r2 e^m + u3
 
     with e = y - xhat1. m_exp must be a positive odd integer so the
-    correction is sign-preserving.
+    correction is sign-preserving. xhat, y and u are float arrays; the
+    arithmetic runs on Python floats.
     """
     if m_exp < 1 or m_exp % 2 == 0:
         raise ValueError("m_exp must be a positive odd integer")
     a, b, c = (float(v) for v in params)
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
-        e = y[0] - xhat[0]
-        em = e ** m_exp
+        x1, x2, x3 = xhat.tolist()
+        u1, u2, u3 = u.tolist()
+        e = y.item(0) - x1
+        try:
+            em = e ** m_exp
+        except OverflowError:  # a float power raises where numpy's gives inf
+            em = math.copysign(math.inf, e)
         return np.array([
-            -xhat[1] - xhat[2] + q1 * e + q2 * em + u[0],
-            xhat[0] + a * xhat[1] + s1 * e + s2 * em + u[1],
-            b + xhat[2] * (xhat[0] - c) + r1 * e + r2 * em + u[2],
+            -x2 - x3 + q1 * e + q2 * em + u1,
+            x1 + a * x2 + s1 * e + s2 * em + u2,
+            b + x3 * (x1 - c) + r1 * e + r2 * em + u3,
         ])
 
     return EeqObserver(dim=3, rhs=rhs, bound=bound)

@@ -50,6 +50,18 @@ PRESET_NAMES = ("example1a", "example1b", "example1c", "example2")
 # estimation error then decays and stays inside the exponential bound.
 LUENBERGER_GAIN = np.array([[2.23029], [-0.190287], [-0.232326]])
 
+
+def _read_only(values) -> np.ndarray:
+    """A float array that raises ValueError on writes, so that a constant
+    gradient can hand out the same array on every call."""
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
+# Gradient of the barriers x2 >= 1 (example1a) and x2 >= -1 (example2).
+_GRAD_X2 = _read_only([0.0, 1.0, 0.0])
+
 # Chain for the example-1 barrier x1 >= 1 on the linear plant, each level
 # s_k = (d/dt + lambda_k) s_{k-1} along the drift A x with lambda_k = 2:
 #   s0 = x1 - 1,
@@ -57,16 +69,19 @@ LUENBERGER_GAIN = np.array([[2.23029], [-0.190287], [-0.232326]])
 #   s2 = grad_s1 . A x + 2 s1 = -x1 + 4 x2 - 2 x3 - 4.
 # grad_s0 . B = grad_s1 . B = 0 and grad_s2 . B = 2: the barrier has relative
 # degree 3, so only the full three-level chain puts u into the top row.
-# L holds the exact gradient norms.
+# L holds the exact gradient norms. The gradients are constant.
 EXAMPLE1_CHAIN_S = (
     lambda x: x[0] - 1.0,
     lambda x: x[0] + 2.0 * x[1] - 2.0 * x[2] - 2.0,
     lambda x: -x[0] + 4.0 * x[1] - 2.0 * x[2] - 4.0,
 )
+_GRAD_S0 = _read_only([1.0, 0.0, 0.0])
+_GRAD_S1 = _read_only([1.0, 2.0, -2.0])
+_GRAD_S2 = _read_only([-1.0, 4.0, -2.0])
 EXAMPLE1_CHAIN_GRAD = (
-    lambda x: np.array([1.0, 0.0, 0.0]),
-    lambda x: np.array([1.0, 2.0, -2.0]),
-    lambda x: np.array([-1.0, 4.0, -2.0]),
+    lambda x: _GRAD_S0,
+    lambda x: _GRAD_S1,
+    lambda x: _GRAD_S2,
 )
 EXAMPLE1_CHAIN_LAM = (2.0, 2.0)
 EXAMPLE1_CHAIN_L = (1.0, 3.0, math.sqrt(21.0))
@@ -106,11 +121,7 @@ def make_preset(name: str) -> ExperimentPreset:
     """Build one of the named presets; raises ValueError on unknown names."""
     if name == "example1a":
         obs, _ = _example1_observer(lam=-0.05)
-        barrier = BarrierChain.rd1(
-            h=lambda x: x[1] - 1.0,
-            grad_h=lambda x: np.array([0.0, 1.0, 0.0]),
-            L=1.0,
-        )
+        barrier = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
         u_d, u_fn = _const_u([-2.0])
         cfg = SimConfig(
             system=make_example1_system(),
@@ -154,11 +165,7 @@ def make_preset(name: str) -> ExperimentPreset:
             ROSSLER_GAINS["q2"], ROSSLER_GAINS["s2"], ROSSLER_GAINS["r2"],
             ROSSLER_GAINS["m_exp"], ROSSLER_PARAMS, bound,
         )
-        barrier = BarrierChain.rd1(
-            h=lambda x: x[1] + 1.0,
-            grad_h=lambda x: np.array([0.0, 1.0, 0.0]),
-            L=1.0,
-        )
+        barrier = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
         u_d, u_fn = _const_u([-2.0, -2.0, -2.0])
         cfg = SimConfig(
             system=make_rossler_system(*ROSSLER_PARAMS),

@@ -185,7 +185,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     sys_ = cfg.system
     drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map
     obs_rhs = cfg.observer.rhs
-    bound_model = cfg.observer.bound
+    bound_value, bound_derivative = cfg.observer.bound.value, cfg.observer.bound.derivative
     fat_cfg = cfg.fat
     state0 = cfg.adaptive0
     n, m, N = sys_.n, sys_.m, fat_cfg.N
@@ -208,9 +208,11 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
     if proposed:
         # z = (x, xhat, theta_hat); the basis row is reused while the stage
-        # time repeats (RK4 stages 2 and 3 share t + dt/2).
+        # time repeats: the loop's row at t serves RK4 stage 1, and stages 2
+        # and 3 share t + dt/2.
         law = AdaptiveLaw.of(state0, fat_cfg)
         law_rhs, law_row = law.rhs, law.basis_row
+        E = fat_cfg.E
         row_t, row = None, None
 
         def rhs(t: float, z: Vector) -> Vector:
@@ -220,7 +222,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             if t != row_t:
                 row_t, row = t, law_row(t)
             dz = np.empty_like(z)
-            dz[:n] = drift(x) + input_map(x) @ u_current
+            dz[:n] = drift(x) + np.dot(input_map(x), u_current)
             dz[n:n2] = obs_rhs(xhat, output_map(x), u_current, t)
             dz[n2:] = law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), row).ravel()
             return dz
@@ -232,7 +234,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         def rhs(t: float, z: Vector) -> Vector:
             x = z[:n]
             dz = np.empty_like(z)
-            dz[:n] = drift(x) + input_map(x) @ u_current
+            dz[:n] = drift(x) + np.dot(input_map(x), u_current)
             dz[n:] = obs_rhs(z[n:], output_map(x), u_current, t)
             return dz
 
@@ -251,15 +253,17 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         x = z[:n]
         xhat = z[n:n2]
         u_d = np.asarray(u_nominal(t, xhat), dtype=float)
+        M = float(bound_value(t))
         if proposed:
             theta = z[n2:].reshape(N, n)
-            st = AdaptiveState(theta_hat=theta, theta_bar=state0.theta_bar, epsilon=eps, mu=state0.mu)
-            coeffs = constraint_rdr(chain, sys_, xhat, t, bound_model, st, fat_cfg)
+            if t != row_t:
+                row_t, row = t, law_row(t)
+            coeffs = constraint_rdr(chain, sys_, xhat, law, theta, M, float(bound_derivative(t)), row, E)
         else:
             g = base_grad(xhat)
             coeffs = ConstraintCoeffs(
-                a=g @ input_map(xhat),
-                b=float(g @ drift(xhat) + gamma * base_h(xhat)),
+                a=np.dot(g, input_map(xhat)),
+                b=float(np.dot(g, drift(xhat)) + gamma * base_h(xhat)),
             )
         res = solve_halfspace_qp(u_d, coeffs)
         if res.feasible:
@@ -271,7 +275,6 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             u = u_d
         u_current = u
 
-        M = float(bound_model.value(t))
         tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
         tr_h[i] = base_h(x)
         tr_h0[i] = float(base_h(xhat)) - base_L * M

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cbfsim import (
+    AdaptiveLaw,
     AdaptiveState,
     BarrierChain,
     ConstraintCoeffs,
@@ -10,6 +11,7 @@ from cbfsim import (
     chain_s_eval,
     constraint_rdr,
     epsilon_bound_rdr,
+    fat_eval,
     make_example1_system,
     skm_eval,
 )
@@ -45,6 +47,13 @@ def _adaptive(n=3, N=3, epsilon=0.1, mu=3.5, theta_hat=None, theta_bar=None):
     if theta_bar is None:
         theta_bar = np.full(N, 0.5)
     return AdaptiveState(theta_hat=theta_hat, theta_bar=theta_bar, epsilon=epsilon, mu=mu)
+
+
+def _precomputed(st, cfg, bound, t):
+    """The constraint_rdr inputs that run_simulation precomputes at time t."""
+    law = AdaptiveLaw.of(st, cfg)
+    return dict(law=law, theta_hat=st.theta_hat, M=float(bound.value(t)),
+                dM=float(bound.derivative(t)), phis=law.basis_row(t), E=cfg.E)
 
 
 def test_h0_values():
@@ -184,7 +193,7 @@ def test_constraint_rd1_hand_assembly():
     sys_ = make_example1_system()
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, cfg)
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, cfg, EXP_BOUND, 0.0))
     np.testing.assert_allclose(c.a, [1.0], atol=1e-14)
     assert c.b == pytest.approx(-0.35, abs=1e-12)
     # feasible set is u >= 0.35
@@ -195,7 +204,7 @@ def test_constraint_rd1_reduces_to_nominal_row():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
     cfg = FatConfig(N=3, E=0.0)
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, ZERO_BOUND, st, cfg)
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, cfg, ZERO_BOUND, 0.0))
     grad = H_1A.grad_s[0](XHAT_1A)
     np.testing.assert_allclose(c.a, grad @ np.array([[0.0], [1.0], [1.0]]), atol=1e-14)
     assert c.b == pytest.approx(grad @ eval_drift(sys_, XHAT_1A), abs=1e-9)
@@ -210,7 +219,7 @@ def test_constraint_rd1_uncontrollable_direction():
         input_map=lambda x: np.zeros((3, 1)),
         output_map=lambda x: x[:1],
     )
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, ZERO_BOUND, _adaptive(), FatConfig(N=3))
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(_adaptive(), FatConfig(N=3), ZERO_BOUND, 0.0))
     np.testing.assert_array_equal(c.a, [0.0])
 
 
@@ -224,7 +233,7 @@ def test_constraint_rdr_matches_rd1_on_degenerate_chain():
     st = _adaptive()
     cfg = FatConfig(N=3, E=0.1)
     t = 0.3
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, t, EXP_BOUND, st, cfg)
+    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, cfg, EXP_BOUND, t))
     g = grad_h(XHAT_1A)
     M, dM = EXP_BOUND.value(t), EXP_BOUND.derivative(t)
     want_b = (g @ eval_drift(sys_, XHAT_1A) - dM - 0.1
@@ -240,7 +249,7 @@ def test_constraint_rdr_input_annihilated():
     cfg = FatConfig(N=3, E=0.1)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        c = constraint_rdr(CHAIN_1B, sys_, rng.normal(size=3), 0.0, EXP_BOUND, st, cfg)
+        c = constraint_rdr(CHAIN_1B, sys_, rng.normal(size=3), **_precomputed(st, cfg, EXP_BOUND, 0.0))
         np.testing.assert_allclose(c.a, [0.0], atol=1e-14)
 
 
@@ -248,9 +257,58 @@ def test_constraint_rdr_drift_only_reduction():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
     cfg = FatConfig(N=3, E=0.0)
-    c = constraint_rdr(CHAIN_1B, sys_, XHAT_1B, 0.0, ZERO_BOUND, st, cfg)
+    c = constraint_rdr(CHAIN_1B, sys_, XHAT_1B, **_precomputed(st, cfg, ZERO_BOUND, 0.0))
     want = CHAIN_1B.grad_s[1](XHAT_1B) @ eval_drift(sys_, XHAT_1B)
     assert c.b == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1c"])
+def test_lean_row_matches_written_out_formula(name):
+    # constraint_rdr on precomputed inputs gives, bit for bit, the row
+    # written out from fat_eval, bound.value, bound.derivative and
+    # np.linalg.norm, on the r = 1 barrier and on the r = 3 chain
+    cfg = make_preset(name).cfg
+    chain, sys_, bound = cfg.barrier, cfg.system, cfg.observer.bound
+    top = chain.r - 1
+    L = chain.L_k[top]
+    grad_s, s_top = chain.grad_s[top], chain.s[top]
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        N = int(rng.integers(1, 6))
+        xhat = rng.normal(scale=3.0, size=3)
+        t = float(rng.uniform(1e-3, 30.0))
+        st = AdaptiveState(
+            theta_hat=rng.normal(size=(N, 3)),
+            theta_bar=rng.uniform(0.1, 2.0, size=N),
+            epsilon=float(rng.uniform(1e-3, 1.0)),
+            mu=float(rng.uniform(0.1, 10.0)),
+        )
+        fat_cfg = FatConfig(N=N, omega=float(rng.uniform(0.2, 3.0)), E=float(rng.uniform(1e-3, 2.0)))
+        c = constraint_rdr(chain, sys_, xhat, **_precomputed(st, fat_cfg, bound, t))
+
+        grad = grad_s(xhat)
+        a = grad @ sys_.input_map(xhat)
+        deflated = float(s_top(xhat)) - L * float(bound.value(t)) - st.epsilon
+        b = float(
+            grad @ (sys_.drift(xhat) + fat_eval(st, fat_cfg, t))
+            - L * float(bound.derivative(t))
+            - float(np.linalg.norm(grad)) * fat_cfg.E
+            + st.mu * deflated
+            - st.mu * fat_cfg.N * st.epsilon
+        )
+        assert c.a.tobytes() == a.tobytes()
+        assert c.b.hex() == b.hex()
+
+
+def test_preset_gradients_are_read_only():
+    # constant gradients hand out one shared array; writing into it must fail
+    for name in ("example1a", "example1b", "example1c", "example2"):
+        cfg = make_preset(name).cfg
+        for k in range(cfg.barrier.r):
+            grad = cfg.barrier.grad_s[k](cfg.xhat0)
+            assert grad is cfg.barrier.grad_s[k](cfg.x0)
+            with pytest.raises(ValueError):
+                grad[0] = 5.0
 
 
 def test_monotone_conservatism():
@@ -263,8 +321,8 @@ def test_monotone_conservatism():
     assert skm_eval(H_1A, 0, XHAT_1A, ts, big) < skm_eval(H_1A, 0, XHAT_1A, ts, small)
     sys_ = make_example1_system()
     st = _adaptive()
-    b_lo = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, FatConfig(N=3, E=0.1)).b
-    b_hi = constraint_rdr(H_1A, sys_, XHAT_1A, 0.0, EXP_BOUND, st, FatConfig(N=3, E=0.5)).b
+    b_lo = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, FatConfig(N=3, E=0.1), EXP_BOUND, 0.0)).b
+    b_hi = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, FatConfig(N=3, E=0.5), EXP_BOUND, 0.0)).b
     assert b_hi < b_lo
 
 

@@ -1,5 +1,5 @@
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cbfsim import ConstraintCoeffs, solve_halfspace_qp
@@ -148,3 +148,47 @@ def test_projection_kkt_and_idempotence(instance):
     again = solve_halfspace_qp(res.u, c)
     assert again.feasible
     np.testing.assert_allclose(again.u, res.u, rtol=1e-12, atol=1e-12 * scale)
+
+
+# Entries of a and b from 0 or +-10^k with k in [-160, 2]: ||a||^2 may be
+# subnormal or underflow to 0, and (a.u_d + b) / ||a||^2 may overflow.
+_tiny = st.builds(lambda sign, k: sign * 10.0 ** k, st.sampled_from([-1.0, 1.0]), st.floats(-160.0, 2.0))
+_tiny_entry = st.one_of(st.just(0.0), _tiny, _entry)
+
+
+@st.composite
+def _tiny_qp_instances(draw):
+    m = draw(st.integers(1, 4))
+    u_d = np.array(draw(st.lists(_entry, min_size=m, max_size=m)))
+    a = np.array(draw(st.lists(_tiny_entry, min_size=m, max_size=m)))
+    return u_d, a, draw(_tiny_entry)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tiny_qp_instances())
+@example((np.array([0.0]), np.array([1e-155]), -1.0))
+def test_projection_with_tiny_a_is_finite(instance):
+    # u is always finite: either the KKT conditions hold, or the result is
+    # infeasible with u = u_d. Stationarity is checked along a / max|a_i|,
+    # whose squared norm is at least 1, so the check does not underflow.
+    u_d, a, b = instance
+    res = solve_halfspace_qp(u_d, _c(a, b))
+    assert np.isfinite(res.u).all()
+    if not res.feasible:
+        assert not res.active
+        np.testing.assert_array_equal(res.u, u_d)
+        return
+    d = res.u - u_d
+    if not res.active:
+        np.testing.assert_array_equal(res.u, u_d)
+        assert float(a @ u_d + b) >= 0.0
+        return
+    # rounding u_d + a * step moves each u_i by up to an ulp of u_d_i or u_i
+    scale = 1.0 + abs(b) + float(np.linalg.norm(a)) * (float(np.linalg.norm(u_d)) + float(np.linalg.norm(res.u)))
+    slack = float(a @ res.u + b)
+    assert slack >= -1e-12 * scale
+    unit = a / np.abs(a).max()
+    along = float(unit @ d) / float(unit @ unit)  # u - u_d = along * unit
+    assert along >= 0.0
+    np.testing.assert_allclose(d, along * unit, atol=1e-12 * (1.0 + float(np.abs(u_d).max())))
+    assert abs(along * slack) <= 1e-9 * scale * (1.0 + along)

@@ -324,6 +324,52 @@ def test_constraint_rdr_is_the_only_row_seam(monkeypatch, name):
     assert calls == []
 
 
+def _counting_bound(bound: ErrorBoundModel, counts: dict) -> ErrorBoundModel:
+    def value(t):
+        counts["value"] += 1
+        return bound.value(t)
+
+    def derivative(t):
+        counts["derivative"] += 1
+        return bound.derivative(t)
+
+    return ErrorBoundModel(value=value, derivative=derivative)
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1c"])
+def test_per_row_work_stays_removed(monkeypatch, name):
+    # each row evaluates M(t) once, for the row and the trace, and dM/dt
+    # once on proposed rows only; the loop builds no AdaptiveState
+    counts = {"value": 0, "derivative": 0, "adaptive_state": 0}
+    cfg = make_preset(name).cfg
+    bound = _counting_bound(cfg.observer.bound, counts)
+    cfg = replace(cfg, t_end=0.05, observer=replace(cfg.observer, bound=bound))
+    post_init = AdaptiveState.__post_init__
+
+    def counting_post_init(self):
+        counts["adaptive_state"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(AdaptiveState, "__post_init__", counting_post_init)
+    for controller, derivative_per_row in (("proposed", 1), ("baseline", 0)):
+        run_cfg = replace(cfg, controller=controller)
+        counts.update(value=0, derivative=0, adaptive_state=0)
+        rows = len(run_simulation(run_cfg))
+        assert rows == 51
+        assert counts == {"value": rows, "derivative": derivative_per_row * rows, "adaptive_state": 0}
+
+
+def test_cubic_observer_divergence_is_run_error():
+    # at dt = 0.1 RK4 diverges on example2's cubic observer; e^3 beyond the
+    # float range must become inf and end the run in RunError, not raise
+    # OverflowError from the observer
+    cfg = replace(make_preset("example2").cfg, dt=0.1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(RunError) as exc:
+            run_simulation(cfg)
+    assert exc.value.last_sample["t"] == pytest.approx(7.5)
+
+
 # sha256 of emit_csv for runs off the preset defaults: omega = 0.7, E = 0.3,
 # a nonzero theta_hat0, "hold" and a shortened last step (t_end = 2.3004).
 # Pins the basis frequencies k omega, the series and leak terms of the
