@@ -8,10 +8,8 @@ unmodeled drift, and analytically solved safety-filter QPs.
 from .barrier import (
     BarrierChain,
     ConstraintCoeffs,
-    chain_s_eval,
     constraint_rdr,
     epsilon_bound_rdr,
-    skm_eval,
 )
 from .cli import apply_overrides, emit_csv, emit_plot, main, parse_config, run_preset
 from .dynamics import (
@@ -22,7 +20,7 @@ from .dynamics import (
     make_example1_system,
     make_rossler_system,
 )
-from .fat import AdaptiveLaw, AdaptiveState, FatConfig, adaptive_rhs, basis, basis_row, fat_eval
+from .fat import AdaptiveLaw, AdaptiveState, FatConfig, adaptive_rhs, basis_row, fat_eval
 from .integrator import IntegrationError, OdeProblem, integrate, rk4_step, time_grid
 from .observer import (
     EeqObserver,
@@ -65,9 +63,7 @@ __all__ = [
     "SimTrace",
     "adaptive_rhs",
     "apply_overrides",
-    "basis",
     "basis_row",
-    "chain_s_eval",
     "compute_epsilon_bound",
     "constraint_rdr",
     "emit_csv",
@@ -90,7 +86,6 @@ __all__ = [
     "run_preset",
     "run_simulation",
     "safety_report",
-    "skm_eval",
     "solve_halfspace_qp",
     "time_grid",
 ]

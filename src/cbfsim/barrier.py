@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import ControlAffineSystem, check_shape
-from .fat import AdaptiveLaw, AdaptiveState, FatConfig
+from .fat import AdaptiveLaw, AdaptiveState
 from .observer import ErrorBoundModel
 
 # Names kept only because bench/tracer.py rebinds them; nothing here calls them.
@@ -36,7 +36,7 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class BarrierChain:
-    """Lifted chain s_0..s_{r-1} for a barrier of relative degree r.
+    """Lifted chain s_0..s_{r-1} for a barrier of relative degree r = len(s).
 
     lam holds the r-1 chain roots lambda_1..lambda_{r-1} (the final root is
     absorbed by the constraint's mu). L_k holds one Lipschitz constant per
@@ -45,17 +45,16 @@ class BarrierChain:
     explicitly, hand-derived; nothing symbolic.
     """
 
-    r: int
     s: Sequence[Callable[[Vector], float]]
     grad_s: Sequence[Callable[[Vector], Vector]]
     lam: Sequence[float]
     L_k: Sequence[float]
 
     def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
-        if len(self.s) != self.r or len(self.grad_s) != self.r:
-            raise ValueError("s and grad_s must each have r entries")
+        if not self.s:
+            raise ValueError("s must have at least one level")
+        if len(self.grad_s) != self.r:
+            raise ValueError("grad_s must have one entry per level of s")
         if len(self.lam) != self.r - 1:
             raise ValueError("lam must have r - 1 entries")
         if len(self.L_k) != self.r:
@@ -65,6 +64,11 @@ class BarrierChain:
         if any(not l > 0 for l in self.L_k):
             raise ValueError("all L_k must be > 0")
 
+    @property
+    def r(self) -> int:
+        """Relative degree of the chain: its number of levels."""
+        return len(self.s)
+
     @classmethod
     def rd1(
         cls,
@@ -73,7 +77,7 @@ class BarrierChain:
         L: float,
     ) -> "BarrierChain":
         """The relative-degree-1 barrier h with gradient grad_h and Lipschitz constant L."""
-        return cls(r=1, s=(h,), grad_s=(grad_h,), lam=(), L_k=(L,))
+        return cls(s=(h,), grad_s=(grad_h,), lam=(), L_k=(L,))
 
     def check_at(self, x: Vector) -> None:
         """Evaluate every s_k and grad_s_k once at x, raising ValueError
@@ -94,26 +98,13 @@ class ConstraintCoeffs:
         return float(np.dot(self.a, u) + self.b)
 
 
-def chain_s_eval(chain: BarrierChain, k: int, x: Vector) -> float:
-    """s_k(x) for 0 <= k <= r-1."""
-    if not 0 <= k <= chain.r - 1:
-        raise ValueError(f"k={k} out of range for chain of degree {chain.r}")
-    return float(chain.s[k](np.asarray(x, dtype=float)))
-
-
-def skm_eval(chain: BarrierChain, k: int, xhat: Vector, t: float, bound: ErrorBoundModel) -> float:
-    """Deflated chain level s_k(xhat) - L_k M(t)."""
-    return chain_s_eval(chain, k, xhat) - chain.L_k[k] * float(bound.value(t))
-
-
-def _epsilon_denominator(state0: AdaptiveState, cfg: FatConfig) -> float:
+def _epsilon_denominator(state0: AdaptiveState) -> float:
     norms = np.linalg.norm(state0.theta_hat, axis=1)
-    return float(cfg.N + np.sum(2.0 * norms / state0.theta_bar + norms ** 2 / state0.theta_bar ** 2))
+    return float(state0.N + np.sum(2.0 * norms / state0.theta_bar + norms ** 2 / state0.theta_bar ** 2))
 
 
 def epsilon_bound_rdr(
-    chain: BarrierChain, xhat0: Vector, bound: ErrorBoundModel,
-    state0: AdaptiveState, cfg: FatConfig,
+    chain: BarrierChain, xhat0: Vector, bound: ErrorBoundModel, state0: AdaptiveState,
 ) -> float:
     """Largest epsilon admitted by the initial data: min_k s_k^M(xhat0, 0) / denom.
 
@@ -121,12 +112,14 @@ def epsilon_bound_rdr(
     feasible epsilon exists for this initial state; callers flag it rather
     than this function raising.
     """
-    worst = min(skm_eval(chain, k, xhat0, 0.0, bound) for k in range(chain.r))
-    return worst / _epsilon_denominator(state0, cfg)
+    xhat0 = np.asarray(xhat0, dtype=float)
+    M0 = float(bound.value(0.0))
+    worst = min(float(s(xhat0)) - L * M0 for s, L in zip(chain.s, chain.L_k))
+    return worst / _epsilon_denominator(state0)
 
 
 def constraint_rdr(
-    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector,
+    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, s_top: float,
     law: AdaptiveLaw, theta_hat: np.ndarray, M: float, dM: float, phis: Vector, E: float,
 ) -> ConstraintCoeffs:
     """Constraint row on the top chain level s = s_{r-1} with constant L = L_{r-1}.
@@ -134,10 +127,11 @@ def constraint_rdr(
     a = grad_s . g.  b collects the drift and series terms along grad_s,
     the bound's drift -L dM/dt, the residual margin -||grad_s|| E, and the
     zeroing terms mu h_eps - mu N epsilon. The inputs are precomputed by the
-    caller: the run's adaptive law (mu, epsilon, N), the (N, n) estimates
-    theta_hat, the error bound M(t) and its derivative dM(t), the basis row
-    phis = [phi_1(t), ..., phi_N(t)] and the tail bound E. The plant and
-    barrier callables are called directly; SimConfig checks their shapes once.
+    caller: the top level's value s_top = s_{r-1}(xhat), the run's adaptive
+    law (mu, epsilon, N), the (N, n) estimates theta_hat, the error bound
+    M(t) and its derivative dM(t), the basis row phis = [phi_1(t), ...,
+    phi_N(t)] and the tail bound E. The plant and barrier callables are
+    called directly; SimConfig checks their shapes once.
     """
     top = chain.r - 1
     L = chain.L_k[top]
@@ -145,7 +139,7 @@ def constraint_rdr(
     xhat = np.asarray(xhat, dtype=float)
     grad = np.asarray(chain.grad_s[top](xhat), dtype=float)
     a = np.dot(grad, sys.input_map(xhat))
-    deflated = float(chain.s[top](xhat)) - L * M - eps
+    deflated = s_top - L * M - eps
     b = (
         grad.dot(sys.drift(xhat) + phis.dot(theta_hat))
         - L * dM

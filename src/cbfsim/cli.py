@@ -24,27 +24,20 @@ from .simloop import RunError, SimConfig, SimTrace, compute_epsilon_bound, run_p
 Vector = np.ndarray
 
 # Override keys accepted in config documents and run_preset override maps.
-# Scalars: key -> (SimConfig field it lands in, or None for the top level;
-# message; check).
-_SCALAR_OVERRIDES = {
-    "dt": (None, "dt must be > 0", lambda v: v > 0),
-    "t_end": (None, "t_end must be >= 0", lambda v: v >= 0),
-    "baseline_gamma": (None, "baseline_gamma must be > 0", lambda v: v > 0),
-    "epsilon": ("adaptive0", "epsilon must be > 0", lambda v: v > 0),
-    "mu": ("adaptive0", "mu must be > 0", lambda v: v > 0),
-    "omega": ("fat", "omega must be > 0", lambda v: v > 0),
-    "E": ("fat", "E must be >= 0", lambda v: v >= 0),
+# Numbers: key -> the SimConfig field it lands in (None for SimConfig
+# itself). Values are only converted here; SimConfig, AdaptiveState and
+# FatConfig check their ranges and enums when they are rebuilt.
+_NUMBER_OVERRIDES = {
+    "dt": None,
+    "t_end": None,
+    "baseline_gamma": None,
+    "epsilon": "adaptive0",
+    "mu": "adaptive0",
+    "omega": "fat",
+    "E": "fat",
 }
-_VECTOR_OVERRIDES = ("x0", "xhat0", "u_d")
-_BOOL_OVERRIDES = ("strict_feasibility",)
-_ENUM_OVERRIDES = {"on_infeasible": ("nominal", "hold")}
-CONFIG_KEYS = (
-    ("preset",)
-    + tuple(_SCALAR_OVERRIDES)
-    + _VECTOR_OVERRIDES
-    + _BOOL_OVERRIDES
-    + tuple(_ENUM_OVERRIDES)
-)
+CONFIG_KEYS = ("preset",) + tuple(_NUMBER_OVERRIDES) + (
+    "x0", "xhat0", "u_d", "strict_feasibility", "on_infeasible")
 
 
 def _require_number(key: str, value) -> float:
@@ -73,12 +66,9 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
             raise ValueError(f"unknown config key '{key}'")
     changes: dict = {}
     nested: dict = {"adaptive0": {}, "fat": {}}
-    for key, (target, msg, check) in _SCALAR_OVERRIDES.items():
+    for key, target in _NUMBER_OVERRIDES.items():
         if key in overrides:
-            v = _require_number(key, overrides[key])
-            if not check(v):
-                raise ValueError(f"invalid value for '{key}': {msg}")
-            (changes if target is None else nested[target])[key] = v
+            (changes if target is None else nested[target])[key] = _require_number(key, overrides[key])
     for key in ("x0", "xhat0"):
         if key in overrides:
             changes[key] = _require_vector(key, overrides[key], cfg.system.n)
@@ -91,10 +81,7 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
             raise ValueError("invalid value for 'strict_feasibility': expected a boolean")
         changes["strict_feasibility"] = v
     if "on_infeasible" in overrides:
-        v = overrides["on_infeasible"]
-        if v not in _ENUM_OVERRIDES["on_infeasible"]:
-            raise ValueError("invalid value for 'on_infeasible': expected 'nominal' or 'hold'")
-        changes["on_infeasible"] = v
+        changes["on_infeasible"] = overrides["on_infeasible"]
     for target, fields in nested.items():
         if fields:
             changes[target] = replace(getattr(cfg, target), **fields)

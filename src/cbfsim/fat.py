@@ -19,19 +19,17 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class FatConfig:
-    """Series truncation N, fundamental frequency omega, residual bound E.
+    """Fundamental frequency omega and residual bound E of the series.
 
     omega defaults to 1 rad/s; any positive value is theoretically valid
     and no preset overrides it. E bounds the norm of the truncated tail.
+    The truncation N is the row count of the estimates (AdaptiveState.N).
     """
 
-    N: int
     omega: float = 1.0
     E: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ValueError("N must be >= 1")
         if not self.omega > 0:
             raise ValueError("omega must be > 0")
         if self.E < 0:
@@ -42,8 +40,9 @@ class FatConfig:
 class AdaptiveState:
     """Coefficient estimates theta_hat (N x n) with their bounds and gains.
 
-    theta_bar[i] bounds ||theta_i||; epsilon is the safety-margin split
-    and mu the leak rate, both shared with the barrier constraint.
+    N >= 1 is the number of estimated series terms. theta_bar[i] bounds
+    ||theta_i||; epsilon is the safety-margin split and mu the leak rate,
+    both shared with the barrier constraint.
     """
 
     theta_hat: np.ndarray
@@ -54,8 +53,8 @@ class AdaptiveState:
     def __post_init__(self) -> None:
         th = np.asarray(self.theta_hat, dtype=float)
         tb = np.asarray(self.theta_bar, dtype=float)
-        if th.ndim != 2:
-            raise ValueError("theta_hat must be an (N, n) array")
+        if th.ndim != 2 or th.shape[0] < 1:
+            raise ValueError("theta_hat must be an (N, n) array with N >= 1")
         if tb.shape != (th.shape[0],):
             raise ValueError("theta_bar must have one entry per parameter vector")
         if not (tb > 0).all():
@@ -66,6 +65,11 @@ class AdaptiveState:
             raise ValueError("mu must be > 0")
         object.__setattr__(self, "theta_hat", th)
         object.__setattr__(self, "theta_bar", tb)
+
+    @property
+    def N(self) -> int:
+        """Number of estimated series terms: the rows of theta_hat."""
+        return self.theta_hat.shape[0]
 
 
 def _series_terms(N: int, omega: float) -> tuple:
@@ -81,16 +85,6 @@ def _row(terms: tuple, t: float) -> Vector:
     return np.array([fn(w * t) for fn, w in terms])
 
 
-def basis(i: int, omega: float, t: float) -> float:
-    """phi_i(t): 1 for i=0, cos(k omega t) for i=2k-1, sin(k omega t) for i=2k."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    if i == 0:
-        return 1.0
-    fn, w = _series_terms(i, omega)[-1]
-    return fn(w * t)
-
-
 def basis_row(N: int, omega: float, t: float) -> Vector:
     """[phi_1(t), ..., phi_N(t)] as a dense row."""
     return _row(_series_terms(N, omega), t)
@@ -99,17 +93,15 @@ def basis_row(N: int, omega: float, t: float) -> Vector:
 def fat_eval(state: AdaptiveState, cfg: FatConfig, t: float) -> Vector:
     """Sum of theta_hat_i phi_i(t) over i = 1..N (the i=0 constant term is
     not part of the estimated series)."""
-    if state.theta_hat.shape[0] != cfg.N:
-        raise ValueError(f"state holds {state.theta_hat.shape[0]} parameter vectors, config says N={cfg.N}")
-    return basis_row(cfg.N, cfg.omega, t).dot(state.theta_hat)
+    return basis_row(state.N, cfg.omega, t).dot(state.theta_hat)
 
 
 @dataclass(frozen=True)
 class AdaptiveLaw:
     """The adaptive law with its run constants computed once: the gains
     -theta_bar_i^2 / (2 epsilon), the leak rate mu, the margin split
-    epsilon and the basis terms (N of them). The constraint row reads mu,
-    epsilon and N from here too.
+    epsilon and the basis terms (one per row of the estimates). The
+    constraint row reads mu, epsilon and N from here too.
 
     `rhs` does only the math and checks nothing; `adaptive_rhs` is the
     validating entry point for direct callers.
@@ -124,7 +116,7 @@ class AdaptiveLaw:
     def of(cls, state: AdaptiveState, cfg: FatConfig) -> "AdaptiveLaw":
         gain = -(state.theta_bar ** 2) / (2.0 * state.epsilon)
         return cls(gain=gain, mu=state.mu, epsilon=state.epsilon,
-                   terms=_series_terms(cfg.N, cfg.omega))
+                   terms=_series_terms(state.N, cfg.omega))
 
     @property
     def N(self) -> int:
@@ -147,12 +139,8 @@ def adaptive_rhs(state: AdaptiveState, grad: Vector, cfg: FatConfig, t: float) -
     supplied by the barrier module. Returns an (N, n) array of stacked
     derivatives.
     """
-    if state.epsilon <= 0:
-        raise ValueError("epsilon must be > 0")
     grad = np.asarray(grad, dtype=float)
     if grad.shape != (state.theta_hat.shape[1],):
         raise ValueError("grad length must match the parameter vector length")
-    if state.theta_hat.shape[0] != cfg.N:
-        raise ValueError(f"state holds {state.theta_hat.shape[0]} parameter vectors, config says N={cfg.N}")
     law = AdaptiveLaw.of(state, cfg)
-    return law.rhs(state.theta_hat, grad, basis_row(cfg.N, cfg.omega, t))
+    return law.rhs(state.theta_hat, grad, basis_row(state.N, cfg.omega, t))

@@ -58,16 +58,12 @@ class ErrorBoundModel:
 class EeqObserver:
     """Observer field v with a quantified error bound.
 
-    dim equals the plant state dimension. rhs(xhat, y, u, t) -> dxhat/dt.
+    rhs(xhat, y, u, t) -> dxhat/dt, a vector of the plant's state dimension
+    (SimConfig checks its shape once).
     """
 
-    dim: int
     rhs: Callable[[Vector, Vector, Vector, float], Vector]
     bound: ErrorBoundModel
-
-    def __post_init__(self) -> None:
-        if self.dim < 1:
-            raise ValueError("dim must be positive")
 
 
 def make_luenberger(A: Matrix, B: Matrix, C: Matrix, gain: Matrix, bound: ErrorBoundModel) -> EeqObserver:
@@ -90,7 +86,7 @@ def make_luenberger(A: Matrix, B: Matrix, C: Matrix, gain: Matrix, bound: ErrorB
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
         return A.dot(xhat) + B.dot(u) + gain.dot(y - C.dot(xhat))
 
-    return EeqObserver(dim=n, rhs=rhs, bound=bound)
+    return EeqObserver(rhs=rhs, bound=bound)
 
 
 def make_rossler_observer(
@@ -131,4 +127,4 @@ def make_rossler_observer(
             b + x3 * (x1 - c) + r1 * e + r2 * em + u3,
         ])
 
-    return EeqObserver(dim=3, rhs=rhs, bound=bound)
+    return EeqObserver(rhs=rhs, bound=bound)

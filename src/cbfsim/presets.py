@@ -41,8 +41,6 @@ from .fat import AdaptiveState, FatConfig
 from .observer import ErrorBoundModel, make_luenberger, make_rossler_observer
 from .simloop import SimConfig
 
-Vector = np.ndarray
-
 PRESET_NAMES = ("example1a", "example1b", "example1c", "example2")
 
 # Output-injection gain for the linear plant. Sign chosen so that
@@ -94,12 +92,11 @@ ROSSLER_GAINS = dict(q1=3.0, s1=-3.0, r1=3.0, q2=10.0, s2=10.0, r2=10.0, m_exp=3
 class ExperimentPreset:
     name: str
     cfg: SimConfig
-    u_d: Vector  # the constant nominal stored for reporting/overrides
 
 
-def _const_u(values) -> tuple:
+def _const_u(values):
     vec = np.asarray(values, dtype=float)
-    return vec, (lambda t, xhat: vec)
+    return lambda t, xhat: vec
 
 
 def _example1_observer(lam: float) -> tuple:
@@ -122,41 +119,38 @@ def make_preset(name: str) -> ExperimentPreset:
     if name == "example1a":
         obs, _ = _example1_observer(lam=-0.05)
         barrier = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
-        u_d, u_fn = _const_u([-2.0])
         cfg = SimConfig(
             system=make_example1_system(),
             observer=obs,
             barrier=barrier,
-            fat=FatConfig(N=3, omega=1.0, E=0.1),
+            fat=FatConfig(omega=1.0, E=0.1),
             adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=3.5),
             x0=np.array([2.0, 2.2, 2.0]),
             xhat0=np.array([3.0, 3.5, 3.0]),
-            u_nominal=u_fn,
+            u_nominal=_const_u([-2.0]),
         )
-        return ExperimentPreset(name=name, cfg=cfg, u_d=u_d)
+        return ExperimentPreset(name=name, cfg=cfg)
 
     if name in ("example1b", "example1c"):
         obs, _ = _example1_observer(lam=-0.05)
         r = 2 if name == "example1b" else 3
         barrier = BarrierChain(
-            r=r,
             s=EXAMPLE1_CHAIN_S[:r],
             grad_s=EXAMPLE1_CHAIN_GRAD[:r],
             lam=EXAMPLE1_CHAIN_LAM[:r - 1],
             L_k=EXAMPLE1_CHAIN_L[:r],
         )
-        u_d, u_fn = _const_u([-2.0])
         cfg = SimConfig(
             system=make_example1_system(),
             observer=obs,
             barrier=barrier,
-            fat=FatConfig(N=3, omega=1.0, E=0.1),
+            fat=FatConfig(omega=1.0, E=0.1),
             adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=10.0),
             x0=np.array([2.4, -3.0, -3.0]),
             xhat0=np.array([3.4, -2.0, -2.0]),
-            u_nominal=u_fn,
+            u_nominal=_const_u([-2.0]),
         )
-        return ExperimentPreset(name=name, cfg=cfg, u_d=u_d)
+        return ExperimentPreset(name=name, cfg=cfg)
 
     if name == "example2":
         bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
@@ -166,17 +160,16 @@ def make_preset(name: str) -> ExperimentPreset:
             ROSSLER_GAINS["m_exp"], ROSSLER_PARAMS, bound,
         )
         barrier = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
-        u_d, u_fn = _const_u([-2.0, -2.0, -2.0])
         cfg = SimConfig(
             system=make_rossler_system(*ROSSLER_PARAMS),
             observer=obs,
             barrier=barrier,
-            fat=FatConfig(N=3, omega=1.0, E=0.1),
+            fat=FatConfig(omega=1.0, E=0.1),
             adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=2.5),
             x0=np.array([-0.5, 0.5, 3.0]),
             xhat0=np.array([0.2, 2.0, 3.0]),
-            u_nominal=u_fn,
+            u_nominal=_const_u([-2.0, -2.0, -2.0]),
         )
-        return ExperimentPreset(name=name, cfg=cfg, u_d=u_d)
+        return ExperimentPreset(name=name, cfg=cfg)
 
     raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")

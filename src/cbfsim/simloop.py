@@ -78,7 +78,7 @@ class SimConfig:
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {CONTROLLERS}")
         if self.on_infeasible not in INFEASIBLE_MODES:
-            raise ValueError(f"on_infeasible must be one of {INFEASIBLE_MODES}")
+            raise ValueError("on_infeasible must be 'nominal' or 'hold'")
         if not self.baseline_gamma > 0:
             raise ValueError("baseline_gamma must be > 0")
         steps = self.t_end / self.dt
@@ -89,10 +89,8 @@ class SimConfig:
         n = self.system.n
         if x0.shape != (n,) or xhat0.shape != (n,):
             raise ValueError(f"x0 and xhat0 must have shape ({n},)")
-        if self.observer.dim != n:
-            raise ValueError("observer dimension must match the plant")
-        if self.adaptive0.theta_hat.shape != (self.fat.N, n):
-            raise ValueError(f"adaptive0.theta_hat must be ({self.fat.N}, {n})")
+        if self.adaptive0.theta_hat.shape[1] != n:
+            raise ValueError(f"adaptive0.theta_hat must have {n} columns")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xhat0", xhat0)
         self._check_callables()
@@ -161,7 +159,7 @@ class SafetyReport:
 
 def compute_epsilon_bound(cfg: SimConfig) -> float:
     """Feasibility bound for epsilon at the configured initial data."""
-    return epsilon_bound_rdr(cfg.barrier, cfg.xhat0, cfg.observer.bound, cfg.adaptive0, cfg.fat)
+    return epsilon_bound_rdr(cfg.barrier, cfg.xhat0, cfg.observer.bound, cfg.adaptive0)
 
 
 def _epsilon_ok(bound: float, used: float) -> bool:
@@ -188,7 +186,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     bound_value, bound_derivative = cfg.observer.bound.value, cfg.observer.bound.derivative
     fat_cfg = cfg.fat
     state0 = cfg.adaptive0
-    n, m, N = sys_.n, sys_.m, fat_cfg.N
+    n, m, N = sys_.n, sys_.m, state0.N
     n2 = 2 * n
     chain = cfg.barrier
     top = chain.r - 1
@@ -254,16 +252,19 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         xhat = z[n:n2]
         u_d = np.asarray(u_nominal(t, xhat), dtype=float)
         M = float(bound_value(t))
+        # one evaluation of h and s_{r-1} at xhat serves the row and the trace
+        h_hat = float(base_h(xhat))
+        s_top = h_hat if top == 0 else float(top_s(xhat))
         if proposed:
             theta = z[n2:].reshape(N, n)
             if t != row_t:
                 row_t, row = t, law_row(t)
-            coeffs = constraint_rdr(chain, sys_, xhat, law, theta, M, float(bound_derivative(t)), row, E)
+            coeffs = constraint_rdr(chain, sys_, xhat, s_top, law, theta, M, float(bound_derivative(t)), row, E)
         else:
             g = base_grad(xhat)
             coeffs = ConstraintCoeffs(
                 a=np.dot(g, input_map(xhat)),
-                b=float(np.dot(g, drift(xhat)) + gamma * base_h(xhat)),
+                b=float(np.dot(g, drift(xhat)) + gamma * h_hat),
             )
         res = solve_halfspace_qp(u_d, coeffs)
         if res.feasible:
@@ -277,8 +278,8 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
         tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
         tr_h[i] = base_h(x)
-        tr_h0[i] = float(base_h(xhat)) - base_L * M
-        tr_eps[i] = float(top_s(xhat)) - L_top * M - eps
+        tr_h0[i] = h_hat - base_L * M
+        tr_eps[i] = s_top - L_top * M - eps
         tr_res[i] = coeffs.residual(u)
         tr_M[i] = M
         if proposed:

@@ -70,7 +70,7 @@ def test_criterion_04_epsilon_bound_arithmetic(criterion):
         cfg = make_preset(name).cfg
         vals[name] = (
             epsilon_bound_rdr(cfg.barrier, cfg.xhat0, cfg.observer.bound,
-                              cfg.adaptive0, cfg.fat),
+                              cfg.adaptive0),
             exact,
         )
     ok = all(abs(got - exact) <= 1e-12 for got, exact in vals.values())

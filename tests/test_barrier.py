@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from cbfsim import (
     AdaptiveLaw,
@@ -8,15 +10,13 @@ from cbfsim import (
     ConstraintCoeffs,
     ErrorBoundModel,
     FatConfig,
-    chain_s_eval,
     constraint_rdr,
     epsilon_bound_rdr,
     fat_eval,
     make_example1_system,
-    skm_eval,
 )
 from cbfsim.dynamics import eval_drift, eval_input_matrix
-from cbfsim.presets import make_preset
+from cbfsim.presets import PRESET_NAMES, make_preset
 
 EXP_BOUND = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
 ZERO_BOUND = ErrorBoundModel.constant(0.0)
@@ -25,7 +25,6 @@ H_1A = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: np.array([0.0, 
 H_EX2 = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
 
 CHAIN_1B = BarrierChain(
-    r=2,
     s=(lambda x: x[0] - 1.0, lambda x: x[0] + 2.0 * x[1] - 2.0 * x[2] - 2.0),
     grad_s=(lambda x: np.array([1.0, 0.0, 0.0]), lambda x: np.array([1.0, 2.0, -2.0])),
     lam=(2.0,),
@@ -49,36 +48,42 @@ def _adaptive(n=3, N=3, epsilon=0.1, mu=3.5, theta_hat=None, theta_bar=None):
     return AdaptiveState(theta_hat=theta_hat, theta_bar=theta_bar, epsilon=epsilon, mu=mu)
 
 
-def _precomputed(st, cfg, bound, t):
-    """The constraint_rdr inputs that run_simulation precomputes at time t."""
+def _skm(chain, k, xhat, t, bound):
+    """Deflated chain level s_k(xhat) - L_k M(t)."""
+    return float(chain.s[k](np.asarray(xhat, dtype=float))) - chain.L_k[k] * float(bound.value(t))
+
+
+def _row(chain, sys_, xhat, st, cfg, bound, t):
+    """constraint_rdr on the inputs that run_simulation precomputes at time t."""
     law = AdaptiveLaw.of(st, cfg)
-    return dict(law=law, theta_hat=st.theta_hat, M=float(bound.value(t)),
-                dM=float(bound.derivative(t)), phis=law.basis_row(t), E=cfg.E)
+    s_top = float(chain.s[chain.r - 1](xhat))
+    return constraint_rdr(chain, sys_, xhat, s_top, law, st.theta_hat, float(bound.value(t)),
+                          float(bound.derivative(t)), law.basis_row(t), cfg.E)
 
 
 def test_h0_values():
-    assert skm_eval(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND) == pytest.approx(0.5, abs=1e-14)
+    assert _skm(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND) == pytest.approx(0.5, abs=1e-14)
     ex2_bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
-    assert skm_eval(H_EX2, 0, XHAT_EX2, 0.0, ex2_bound) == pytest.approx(1.0, abs=1e-14)
+    assert _skm(H_EX2, 0, XHAT_EX2, 0.0, ex2_bound) == pytest.approx(1.0, abs=1e-14)
     # perfect observer: deflation vanishes
-    assert skm_eval(H_1A, 0, XHAT_1A, 5.0, ZERO_BOUND) == pytest.approx(2.5, abs=1e-14)
+    assert _skm(H_1A, 0, XHAT_1A, 5.0, ZERO_BOUND) == pytest.approx(2.5, abs=1e-14)
 
 
 def test_h_eps_values():
     # h_eps = s_0^M - epsilon on the relative-degree-1 chain
-    assert skm_eval(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND) - 0.1 == pytest.approx(0.4, abs=1e-14)
+    assert _skm(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND) - 0.1 == pytest.approx(0.4, abs=1e-14)
     # h(xhat) = L M + eps exactly -> zero
     xhat = np.array([0.0, 1.0 + 2.0 + 0.1, 0.0])
-    assert skm_eval(H_1A, 0, xhat, 0.0, EXP_BOUND) - 0.1 == pytest.approx(0.0, abs=1e-14)
+    assert _skm(H_1A, 0, xhat, 0.0, EXP_BOUND) - 0.1 == pytest.approx(0.0, abs=1e-14)
 
 
 def test_chain_s_values():
-    assert chain_s_eval(CHAIN_1B, 0, [2.4, -3.0, -3.0]) == pytest.approx(1.4, abs=1e-14)
-    assert chain_s_eval(CHAIN_1B, 1, XHAT_1B) == pytest.approx(1.4, abs=1e-14)
+    assert CHAIN_1B.s[0](np.array([2.4, -3.0, -3.0])) == pytest.approx(1.4, abs=1e-14)
+    assert CHAIN_1B.s[1](XHAT_1B) == pytest.approx(1.4, abs=1e-14)
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=3)
-        assert chain_s_eval(CHAIN_1B, 0, x) == pytest.approx(x[0] - 1.0, rel=1e-14)
+        assert CHAIN_1B.s[0](x) == pytest.approx(x[0] - 1.0, rel=1e-14)
 
 
 def test_chain_recursion_along_drift():
@@ -92,7 +97,7 @@ def test_chain_recursion_along_drift():
             for k in range(1, chain.r):
                 want = (chain.grad_s[k - 1](x) @ eval_drift(sys_, x)
                         + chain.lam[k - 1] * chain.s[k - 1](x))
-                assert chain_s_eval(chain, k, x) == pytest.approx(want, rel=1e-12, abs=1e-12)
+                assert chain.s[k](x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_chain_1c_top_level_carries_the_input():
@@ -108,27 +113,19 @@ def test_chain_1c_top_level_carries_the_input():
                                        [0.0], rtol=0, atol=1e-14)
 
 
-def test_chain_s_range_check():
-    with pytest.raises(ValueError):
-        chain_s_eval(CHAIN_1B, 2, XHAT_1B)
-    with pytest.raises(ValueError):
-        chain_s_eval(CHAIN_1B, -1, XHAT_1B)
-
-
 def test_skm_values():
-    assert skm_eval(CHAIN_1B, 0, XHAT_1B, 0.0, EXP_BOUND) == pytest.approx(0.4, abs=1e-14)
-    assert skm_eval(CHAIN_1B, 1, XHAT_1B, 0.0, EXP_BOUND) == pytest.approx(-4.6, abs=1e-14)
-    assert skm_eval(CHAIN_1B, 1, XHAT_1B, 0.0, ZERO_BOUND) == pytest.approx(
-        chain_s_eval(CHAIN_1B, 1, XHAT_1B), abs=1e-14
+    assert _skm(CHAIN_1B, 0, XHAT_1B, 0.0, EXP_BOUND) == pytest.approx(0.4, abs=1e-14)
+    assert _skm(CHAIN_1B, 1, XHAT_1B, 0.0, EXP_BOUND) == pytest.approx(-4.6, abs=1e-14)
+    assert _skm(CHAIN_1B, 1, XHAT_1B, 0.0, ZERO_BOUND) == pytest.approx(
+        CHAIN_1B.s[1](XHAT_1B), abs=1e-14
     )
 
 
 def test_epsilon_bound_rd1_values():
     st = _adaptive()
-    cfg = FatConfig(N=3, E=0.1)
-    assert epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st, cfg) == pytest.approx(0.5 / 3.0, abs=1e-12)
+    assert epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st) == pytest.approx(0.5 / 3.0, abs=1e-12)
     ex2_bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
-    assert epsilon_bound_rdr(H_EX2, XHAT_EX2, ex2_bound, st, cfg) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert epsilon_bound_rdr(H_EX2, XHAT_EX2, ex2_bound, st) == pytest.approx(1.0 / 3.0, abs=1e-12)
     # the shipped epsilon passes both
     assert 0.1 <= 0.5 / 3.0 and 0.1 <= 1.0 / 3.0
 
@@ -140,50 +137,45 @@ def test_epsilon_denominator_with_estimates():
         theta_hat=np.array([[0.3, 0.4], [0.0, 0.0]]),
         theta_bar=np.array([0.5, 2.0]),
     )
-    cfg = FatConfig(N=2)
     bar = BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.array([1.0, 0.0]), L=1.0)
-    got = epsilon_bound_rdr(bar, np.array([10.0, 0.0]), ZERO_BOUND, st, cfg)
+    got = epsilon_bound_rdr(bar, np.array([10.0, 0.0]), ZERO_BOUND, st)
     assert got == pytest.approx(10.0 / 5.0, abs=1e-12)
 
 
 def test_epsilon_bound_soundness_identity():
     st = _adaptive()
-    cfg = FatConfig(N=3, E=0.1)
-    bound = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st, cfg)
-    h0 = skm_eval(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND)
+    bound = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st)
+    h0 = _skm(H_1A, 0, XHAT_1A, 0.0, EXP_BOUND)
     assert abs(h0 - bound * 3.0) <= 1e-12  # denominator is N for zero estimates
 
 
 def test_epsilon_bound_rdr_values():
     st = _adaptive(mu=10.0)
-    cfg = FatConfig(N=3, E=0.1)
-    got = epsilon_bound_rdr(CHAIN_1B, XHAT_1B, EXP_BOUND, st, cfg)
+    got = epsilon_bound_rdr(CHAIN_1B, XHAT_1B, EXP_BOUND, st)
     assert got == pytest.approx(-4.6 / 3.0, abs=1e-12)
     assert got < 0  # infeasible initial data under the gradient-norm convention
 
 
 def test_epsilon_bound_rdr_degenerate_chain():
     chain = BarrierChain(
-        r=1, s=H_1A.s, grad_s=H_1A.grad_s, lam=(), L_k=(1.0,),
+        s=H_1A.s, grad_s=H_1A.grad_s, lam=(), L_k=(1.0,),
     )
     st = _adaptive()
-    cfg = FatConfig(N=3, E=0.1)
-    a = epsilon_bound_rdr(chain, XHAT_1A, EXP_BOUND, st, cfg)
-    b = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st, cfg)
+    a = epsilon_bound_rdr(chain, XHAT_1A, EXP_BOUND, st)
+    b = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st)
     assert a == pytest.approx(b, abs=1e-15)
     assert a == pytest.approx(0.5 / 3.0, abs=1e-12)
 
 
 def test_epsilon_bound_rdr_uniform_levels():
     chain = BarrierChain(
-        r=2,
         s=(lambda x: x[0], lambda x: x[0]),
         grad_s=(lambda x: np.array([1.0]), lambda x: np.array([1.0])),
         lam=(1.0,),
         L_k=(1.0, 1.0),
     )
     st = _adaptive(n=1, N=4, theta_bar=np.full(4, 0.5))
-    got = epsilon_bound_rdr(chain, np.array([3.0]), ZERO_BOUND, st, FatConfig(N=4))
+    got = epsilon_bound_rdr(chain, np.array([3.0]), ZERO_BOUND, st)
     assert got == pytest.approx(3.0 / 4.0, abs=1e-14)
 
 
@@ -192,8 +184,8 @@ def test_constraint_rd1_hand_assembly():
     # 1.4 zeroing pull, 1.05 epsilon offset
     sys_ = make_example1_system()
     st = _adaptive()
-    cfg = FatConfig(N=3, E=0.1)
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, cfg, EXP_BOUND, 0.0))
+    cfg = FatConfig(E=0.1)
+    c = _row(H_1A, sys_, XHAT_1A, st, cfg, EXP_BOUND, 0.0)
     np.testing.assert_allclose(c.a, [1.0], atol=1e-14)
     assert c.b == pytest.approx(-0.35, abs=1e-12)
     # feasible set is u >= 0.35
@@ -203,8 +195,8 @@ def test_constraint_rd1_hand_assembly():
 def test_constraint_rd1_reduces_to_nominal_row():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
-    cfg = FatConfig(N=3, E=0.0)
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, cfg, ZERO_BOUND, 0.0))
+    cfg = FatConfig(E=0.0)
+    c = _row(H_1A, sys_, XHAT_1A, st, cfg, ZERO_BOUND, 0.0)
     grad = H_1A.grad_s[0](XHAT_1A)
     np.testing.assert_allclose(c.a, grad @ np.array([[0.0], [1.0], [1.0]]), atol=1e-14)
     assert c.b == pytest.approx(grad @ eval_drift(sys_, XHAT_1A), abs=1e-9)
@@ -219,7 +211,7 @@ def test_constraint_rd1_uncontrollable_direction():
         input_map=lambda x: np.zeros((3, 1)),
         output_map=lambda x: x[:1],
     )
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(_adaptive(), FatConfig(N=3), ZERO_BOUND, 0.0))
+    c = _row(H_1A, sys_, XHAT_1A, _adaptive(), FatConfig(), ZERO_BOUND, 0.0)
     np.testing.assert_array_equal(c.a, [0.0])
 
 
@@ -228,12 +220,12 @@ def test_constraint_rdr_matches_rd1_on_degenerate_chain():
     # formula a = grad_h . g, b = grad_h . f - L dM/dt - ||grad_h|| E
     # + mu (h - L M - eps) - mu N eps (zero estimates: no series term).
     h, grad_h = H_1A.s[0], H_1A.grad_s[0]
-    assert H_1A == BarrierChain(r=1, s=(h,), grad_s=(grad_h,), lam=(), L_k=(1.0,))
+    assert H_1A == BarrierChain(s=(h,), grad_s=(grad_h,), lam=(), L_k=(1.0,))
     sys_ = make_example1_system()
     st = _adaptive()
-    cfg = FatConfig(N=3, E=0.1)
+    cfg = FatConfig(E=0.1)
     t = 0.3
-    c = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, cfg, EXP_BOUND, t))
+    c = _row(H_1A, sys_, XHAT_1A, st, cfg, EXP_BOUND, t)
     g = grad_h(XHAT_1A)
     M, dM = EXP_BOUND.value(t), EXP_BOUND.derivative(t)
     want_b = (g @ eval_drift(sys_, XHAT_1A) - dM - 0.1
@@ -246,18 +238,18 @@ def test_constraint_rdr_input_annihilated():
     # grad_s1 . B = [1,2,-2] . [0,1,1] = 0: the row never sees u
     sys_ = make_example1_system()
     st = _adaptive(mu=10.0)
-    cfg = FatConfig(N=3, E=0.1)
+    cfg = FatConfig(E=0.1)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        c = constraint_rdr(CHAIN_1B, sys_, rng.normal(size=3), **_precomputed(st, cfg, EXP_BOUND, 0.0))
+        c = _row(CHAIN_1B, sys_, rng.normal(size=3), st, cfg, EXP_BOUND, 0.0)
         np.testing.assert_allclose(c.a, [0.0], atol=1e-14)
 
 
 def test_constraint_rdr_drift_only_reduction():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
-    cfg = FatConfig(N=3, E=0.0)
-    c = constraint_rdr(CHAIN_1B, sys_, XHAT_1B, **_precomputed(st, cfg, ZERO_BOUND, 0.0))
+    cfg = FatConfig(E=0.0)
+    c = _row(CHAIN_1B, sys_, XHAT_1B, st, cfg, ZERO_BOUND, 0.0)
     want = CHAIN_1B.grad_s[1](XHAT_1B) @ eval_drift(sys_, XHAT_1B)
     assert c.b == pytest.approx(want, abs=1e-9)
 
@@ -283,8 +275,8 @@ def test_lean_row_matches_written_out_formula(name):
             epsilon=float(rng.uniform(1e-3, 1.0)),
             mu=float(rng.uniform(0.1, 10.0)),
         )
-        fat_cfg = FatConfig(N=N, omega=float(rng.uniform(0.2, 3.0)), E=float(rng.uniform(1e-3, 2.0)))
-        c = constraint_rdr(chain, sys_, xhat, **_precomputed(st, fat_cfg, bound, t))
+        fat_cfg = FatConfig(omega=float(rng.uniform(0.2, 3.0)), E=float(rng.uniform(1e-3, 2.0)))
+        c = _row(chain, sys_, xhat, st, fat_cfg, bound, t)
 
         grad = grad_s(xhat)
         a = grad @ sys_.input_map(xhat)
@@ -294,7 +286,7 @@ def test_lean_row_matches_written_out_formula(name):
             - L * float(bound.derivative(t))
             - float(np.linalg.norm(grad)) * fat_cfg.E
             + st.mu * deflated
-            - st.mu * fat_cfg.N * st.epsilon
+            - st.mu * st.N * st.epsilon
         )
         assert c.a.tobytes() == a.tobytes()
         assert c.b.hex() == b.hex()
@@ -313,16 +305,16 @@ def test_preset_gradients_are_read_only():
 
 def test_monotone_conservatism():
     ts = 0.7
-    v1 = skm_eval(H_1A, 0, XHAT_1A, ts, EXP_BOUND) - 0.1
-    v2 = skm_eval(H_1A, 0, XHAT_1A, ts, EXP_BOUND) - 0.2
+    v1 = _skm(H_1A, 0, XHAT_1A, ts, EXP_BOUND) - 0.1
+    v2 = _skm(H_1A, 0, XHAT_1A, ts, EXP_BOUND) - 0.2
     assert v2 < v1
     big = ErrorBoundModel.constant(3.0)
     small = ErrorBoundModel.constant(1.0)
-    assert skm_eval(H_1A, 0, XHAT_1A, ts, big) < skm_eval(H_1A, 0, XHAT_1A, ts, small)
+    assert _skm(H_1A, 0, XHAT_1A, ts, big) < _skm(H_1A, 0, XHAT_1A, ts, small)
     sys_ = make_example1_system()
     st = _adaptive()
-    b_lo = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, FatConfig(N=3, E=0.1), EXP_BOUND, 0.0)).b
-    b_hi = constraint_rdr(H_1A, sys_, XHAT_1A, **_precomputed(st, FatConfig(N=3, E=0.5), EXP_BOUND, 0.0)).b
+    b_lo = _row(H_1A, sys_, XHAT_1A, st, FatConfig(E=0.1), EXP_BOUND, 0.0).b
+    b_hi = _row(H_1A, sys_, XHAT_1A, st, FatConfig(E=0.5), EXP_BOUND, 0.0).b
     assert b_hi < b_lo
 
 
@@ -333,12 +325,48 @@ def test_deflation_implies_true_safety():
     bound = ErrorBoundModel.constant(0.8)
     for _ in range(200):
         xhat = rng.normal(scale=2.0, size=3)
-        if skm_eval(H_1A, 0, xhat, 0.0, bound) < 0:
+        if _skm(H_1A, 0, xhat, 0.0, bound) < 0:
             continue
         delta = rng.normal(size=3)
         delta *= rng.uniform(0.0, 1.0) * 0.8 / np.linalg.norm(delta)
         x = xhat - delta
         assert H_1A.s[0](x) >= -1e-12
+
+
+_PRESET_CHAINS = {name: make_preset(name).cfg.barrier for name in PRESET_NAMES}
+_LEVELS = [(name, k) for name, chain in _PRESET_CHAINS.items() for k in range(chain.r)]
+_coord = hst.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    level=hst.sampled_from(_LEVELS),
+    p=hst.lists(_coord, min_size=3, max_size=3),
+    M=hst.floats(0.0, 10.0),
+    margin=hst.one_of(hst.just(0.0), hst.floats(0.0, 10.0)),
+    kind=hst.sampled_from(["ball", "sphere", "worst"]),
+    direction=hst.lists(_coord, min_size=3, max_size=3).filter(lambda d: np.linalg.norm(d) > 1e-3),
+    rho=hst.floats(0.0, 1.0),
+)
+def test_deflation_implies_true_safety_on_every_preset_level(level, p, M, margin, kind, direction, rho):
+    # s_k(xhat) - L_k M >= 0 and ||xhat - x|| <= M imply s_k(x) >= 0, for
+    # errors inside the ball, on its sphere and along the worst direction
+    # M grad_s_k / ||grad_s_k||. The preset levels are affine, so xhat is
+    # p moved along grad_s_k onto the level set s_k = L_k M + margin.
+    name, k = level
+    chain = _PRESET_CHAINS[name]
+    s, L = chain.s[k], chain.L_k[k]
+    grad = np.asarray(chain.grad_s[k](np.asarray(p)), dtype=float)
+    p = np.asarray(p)
+    xhat = p + (L * M + margin - s(p)) / (grad @ grad) * grad
+    if s(xhat) - L * M < 0:  # rounded just off the deflated safe set
+        return
+    if kind == "worst":
+        e = M * grad / np.linalg.norm(grad)
+    else:
+        d = np.asarray(direction)
+        e = (M if kind == "sphere" else rho * M) * d / np.linalg.norm(d)
+    assert s(xhat - e) >= -1e-12
 
 
 def test_gradients_match_finite_differences():
@@ -372,17 +400,18 @@ def test_preset_barrier_objects_match_module_constants():
     assert p1.s[0](x) == H_1A.s[0](x)
     pb = make_preset("example1b").cfg.barrier
     assert pb.r == 2
-    assert chain_s_eval(pb, 1, XHAT_1B) == pytest.approx(1.4, abs=1e-14)
+    assert pb.s[1](XHAT_1B) == pytest.approx(1.4, abs=1e-14)
 
 
 def test_chain_validation():
     with pytest.raises(ValueError):
-        BarrierChain(r=0, s=(), grad_s=(), lam=(), L_k=())
+        BarrierChain(s=(), grad_s=(), lam=(), L_k=())
     with pytest.raises(ValueError):
-        BarrierChain(r=2, s=(lambda x: x[0],), grad_s=(lambda x: x,), lam=(1.0,), L_k=(1.0, 1.0))
+        BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: x,), lam=(1.0,), L_k=(1.0, 1.0))
+    with pytest.raises(ValueError):
+        BarrierChain(s=(lambda x: x[0],), grad_s=(), lam=(), L_k=(1.0,))
     with pytest.raises(ValueError):
         BarrierChain(
-            r=2,
             s=(lambda x: x[0], lambda x: x[0]),
             grad_s=(lambda x: x, lambda x: x),
             lam=(1.0, 1.0),
@@ -390,7 +419,6 @@ def test_chain_validation():
         )
     with pytest.raises(ValueError):
         BarrierChain(
-            r=2,
             s=(lambda x: x[0], lambda x: x[0]),
             grad_s=(lambda x: x, lambda x: x),
             lam=(-1.0,),

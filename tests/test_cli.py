@@ -224,11 +224,10 @@ def test_svg_rejections(preset_runs):
 
 
 def test_preset_fidelity_example1a():
-    pre = make_preset("example1a")
-    cfg = pre.cfg
+    cfg = make_preset("example1a").cfg
     np.testing.assert_array_equal(cfg.x0, [2.0, 2.2, 2.0])
     np.testing.assert_array_equal(cfg.xhat0, [3.0, 3.5, 3.0])
-    assert cfg.fat.N == 3 and cfg.fat.E == 0.1 and cfg.fat.omega == 1.0
+    assert cfg.adaptive0.N == 3 and cfg.fat.E == 0.1 and cfg.fat.omega == 1.0
     np.testing.assert_array_equal(cfg.adaptive0.theta_bar, np.full(3, 0.5))
     np.testing.assert_array_equal(cfg.adaptive0.theta_hat, np.zeros((3, 3)))
     assert cfg.adaptive0.epsilon == 0.1 and cfg.adaptive0.mu == 3.5
@@ -237,13 +236,12 @@ def test_preset_fidelity_example1a():
     assert cfg.barrier.r == 1 and cfg.barrier.L_k == (1.0,)
     assert cfg.barrier.s[0](np.array([0.0, 2.0, 0.0])) == pytest.approx(1.0)
     np.testing.assert_array_equal(cfg.barrier.grad_s[0](cfg.x0), [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(pre.u_d, [-2.0])
+    np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [-2.0])
     assert cfg.dt == 1e-3 and cfg.t_end == 10.0
 
 
 def test_preset_fidelity_example1b():
-    pre = make_preset("example1b")
-    cfg = pre.cfg
+    cfg = make_preset("example1b").cfg
     np.testing.assert_array_equal(cfg.x0, [2.4, -3.0, -3.0])
     np.testing.assert_array_equal(cfg.xhat0, [3.4, -2.0, -2.0])
     assert cfg.adaptive0.mu == 10.0 and cfg.adaptive0.epsilon == 0.1
@@ -252,12 +250,11 @@ def test_preset_fidelity_example1b():
     assert bar.s[0](cfg.xhat0) == pytest.approx(2.4)
     assert bar.s[1](cfg.xhat0) == pytest.approx(1.4)
     np.testing.assert_array_equal(bar.grad_s[1](cfg.xhat0), [1.0, 2.0, -2.0])
-    np.testing.assert_array_equal(pre.u_d, [-2.0])
+    np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [-2.0])
 
 
 def test_preset_fidelity_example1c():
-    pre = make_preset("example1c")
-    cfg = pre.cfg
+    cfg = make_preset("example1c").cfg
     np.testing.assert_array_equal(cfg.x0, [2.4, -3.0, -3.0])
     np.testing.assert_array_equal(cfg.xhat0, [3.4, -2.0, -2.0])
     assert cfg.adaptive0.mu == 10.0 and cfg.adaptive0.epsilon == 0.1
@@ -270,12 +267,11 @@ def test_preset_fidelity_example1c():
     np.testing.assert_array_equal(bar.grad_s[2](cfg.xhat0) @ cfg.system.input_map(cfg.xhat0), [2.0])
     # the deflated top level s2 - sqrt(21) M(0) sets the (negative) epsilon bound
     assert compute_epsilon_bound(cfg) == pytest.approx((-11.4 - 2.0 * np.sqrt(21.0)) / 3.0, abs=1e-12)
-    np.testing.assert_array_equal(pre.u_d, [-2.0])
+    np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [-2.0])
 
 
 def test_preset_fidelity_example2():
-    pre = make_preset("example2")
-    cfg = pre.cfg
+    cfg = make_preset("example2").cfg
     np.testing.assert_array_equal(cfg.x0, [-0.5, 0.5, 3.0])
     np.testing.assert_array_equal(cfg.xhat0, [0.2, 2.0, 3.0])
     assert cfg.adaptive0.mu == 2.5
@@ -283,7 +279,7 @@ def test_preset_fidelity_example2():
     assert cfg.barrier.s[0](np.array([0.0, -1.0, 0.0])) == pytest.approx(0.0)
     assert ROSSLER_PARAMS == (0.2, 0.2, 5.0)
     assert ROSSLER_GAINS == dict(q1=3.0, s1=-3.0, r1=3.0, q2=10.0, s2=10.0, r2=10.0, m_exp=3)
-    np.testing.assert_array_equal(pre.u_d, [-2.0, -2.0, -2.0])
+    np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [-2.0, -2.0, -2.0])
 
 
 # ---------------------------------------------------------------- run_preset / main
@@ -369,6 +365,24 @@ def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: invalid value for 't_end': expected a number"]
     assert "Traceback" not in proc.stdout + proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"dt": -1}, "dt must be > 0"),  # SimConfig
+    ({"t_end": -1}, "t_end must be >= 0"),
+    ({"baseline_gamma": 0}, "baseline_gamma must be > 0"),
+    ({"on_infeasible": "drop"}, "on_infeasible must be 'nominal' or 'hold'"),
+    ({"epsilon": 0}, "epsilon must be > 0"),  # AdaptiveState
+    ({"mu": -2}, "mu must be > 0"),
+    ({"omega": 0}, "omega must be > 0"),  # FatConfig
+    ({"E": -0.5}, "E must be >= 0"),
+])
+def test_range_and_enum_errors_come_from_the_constructors(tmp_path, capsys, override, message):
+    assert run_preset("example1a", override, out_dir=str(tmp_path / "out")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert captured.out == ""
     assert not (tmp_path / "out").exists()
 
 

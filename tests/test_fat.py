@@ -8,7 +8,6 @@ from cbfsim import (
     FatConfig,
     OdeProblem,
     adaptive_rhs,
-    basis,
     basis_row,
     fat_eval,
     integrate,
@@ -22,45 +21,44 @@ def _state(theta_hat, theta_bar=None, epsilon=0.1, mu=3.5):
     return AdaptiveState(theta_hat=theta_hat, theta_bar=theta_bar, epsilon=epsilon, mu=mu)
 
 
+def _phi(i, omega, t):
+    """phi_i(t), i >= 1, read off the basis row."""
+    return basis_row(i, omega, t)[i - 1]
+
+
 def test_basis_index_map():
-    assert basis(0, 1.0, 123.4) == 1.0
-    assert basis(1, 1.0, 0.0) == 1.0   # cos 0
-    assert basis(2, 1.0, 0.0) == 0.0   # sin 0
-    assert basis(3, 1.0, math.pi) == pytest.approx(1.0, abs=1e-12)  # cos 2pi
-    assert basis(4, 2.0, math.pi / 8) == pytest.approx(math.sin(math.pi / 2), abs=1e-12)
-
-
-def test_basis_rejects_negative_index():
-    with pytest.raises(ValueError):
-        basis(-1, 1.0, 0.0)
+    assert _phi(1, 1.0, 0.0) == 1.0   # cos 0
+    assert _phi(2, 1.0, 0.0) == 0.0   # sin 0
+    assert _phi(3, 1.0, math.pi) == pytest.approx(1.0, abs=1e-12)  # cos 2pi
+    assert _phi(4, 2.0, math.pi / 8) == pytest.approx(math.sin(math.pi / 2), abs=1e-12)
 
 
 def test_basis_row_matches_scalar():
     t, omega = 0.73, 1.7
     row = basis_row(5, omega, t)
-    np.testing.assert_allclose(row, [basis(i, omega, t) for i in range(1, 6)], atol=1e-15)
+    np.testing.assert_allclose(row, [_phi(i, omega, t) for i in range(1, 6)], atol=1e-15)
 
 
 def test_fat_eval_zero_coefficients():
-    cfg = FatConfig(N=3)
+    cfg = FatConfig()
     np.testing.assert_array_equal(fat_eval(_state(np.zeros((3, 2))), cfg, 1.0), np.zeros(2))
 
 
 def test_fat_eval_single_term():
-    cfg = FatConfig(N=1)
+    cfg = FatConfig()
     out = fat_eval(_state([[2.0, 0.0]]), cfg, 0.0)
     np.testing.assert_allclose(out, [2.0, 0.0], atol=1e-15)
 
 
 def test_fat_eval_two_terms_quarter_period():
-    cfg = FatConfig(N=2)
+    cfg = FatConfig()
     out = fat_eval(_state([[1.0], [1.0]]), cfg, math.pi / 2)
     # cos(pi/2) + sin(pi/2) = 1
     np.testing.assert_allclose(out, [1.0], atol=1e-12)
 
 
 def test_fat_eval_linear_in_theta():
-    cfg = FatConfig(N=4)
+    cfg = FatConfig()
     rng = np.random.default_rng(2)
     th1, th2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     t = 0.9
@@ -69,33 +67,28 @@ def test_fat_eval_linear_in_theta():
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_fat_eval_length_mismatch():
-    with pytest.raises(ValueError):
-        fat_eval(_state(np.zeros((2, 3))), FatConfig(N=3), 0.0)
-
-
 def test_adaptive_rhs_hand_value():
     # -(0.25 / 0.2) grad with zero leak contribution
-    cfg = FatConfig(N=1)
+    cfg = FatConfig()
     out = adaptive_rhs(_state(np.zeros((1, 3))), np.array([0.0, 1.0, 0.0]), cfg, 0.0)
     np.testing.assert_allclose(out, [[0.0, -1.25, 0.0]], atol=1e-14)
 
 
 def test_adaptive_rhs_pure_leak():
-    cfg = FatConfig(N=1)
+    cfg = FatConfig()
     out = adaptive_rhs(_state([[1.0, 1.0]], mu=2.0), np.zeros(2), cfg, 0.0)
     np.testing.assert_allclose(out, [[-2.0, -2.0]], atol=1e-15)
 
 
 def test_adaptive_rhs_equilibrium():
-    cfg = FatConfig(N=2)
+    cfg = FatConfig()
     out = adaptive_rhs(_state(np.zeros((2, 3))), np.zeros(3), cfg, 0.5)
     np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
 
 def test_adaptive_rhs_basis_scaling():
     # at t where phi_2 = sin(omega t) = 1, row 2 sees the full gradient gain
-    cfg = FatConfig(N=2)
+    cfg = FatConfig()
     st = _state(np.zeros((2, 1)), theta_bar=np.array([1.0, 1.0]), epsilon=0.5)
     out = adaptive_rhs(st, np.array([1.0]), cfg, math.pi / 2)
     np.testing.assert_allclose(out[1], [-1.0], atol=1e-12)
@@ -104,13 +97,13 @@ def test_adaptive_rhs_basis_scaling():
 
 def test_adaptive_rhs_grad_length_checked():
     with pytest.raises(ValueError):
-        adaptive_rhs(_state(np.zeros((1, 3))), np.zeros(2), FatConfig(N=1), 0.0)
+        adaptive_rhs(_state(np.zeros((1, 3))), np.zeros(2), FatConfig(), 0.0)
 
 
 def test_leak_decay_norm():
     # grad = 0 reduces the law to theta' = -mu theta; integrate and compare
     # against the exact exponential decay of the norm.
-    cfg = FatConfig(N=2)
+    cfg = FatConfig()
     mu = 2.0
     th0 = np.array([[1.0, -2.0], [0.5, 0.25]])
 
@@ -130,7 +123,7 @@ def test_orthogonality_on_one_period():
         ts = np.linspace(0.0, period, 10_001)
         for i in range(1, 5):
             for j in range(1, 5):
-                vals = np.array([basis(i, omega, t) * basis(j, omega, t) for t in ts])
+                vals = np.array([_phi(i, omega, t) * _phi(j, omega, t) for t in ts])
                 integral = np.trapezoid(vals, ts)
                 want = math.pi / omega if i == j else 0.0
                 assert integral == pytest.approx(want, abs=1e-6), (i, j, omega)
@@ -138,11 +131,11 @@ def test_orthogonality_on_one_period():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        FatConfig(N=0)
+        AdaptiveState(theta_hat=np.zeros((0, 2)), theta_bar=np.zeros(0), epsilon=0.1, mu=1.0)
     with pytest.raises(ValueError):
-        FatConfig(N=1, omega=0.0)
+        FatConfig(omega=0.0)
     with pytest.raises(ValueError):
-        FatConfig(N=1, E=-0.1)
+        FatConfig(E=-0.1)
     with pytest.raises(ValueError):
         AdaptiveState(theta_hat=np.zeros((1, 2)), theta_bar=np.array([0.5]), epsilon=0.0, mu=1.0)
     with pytest.raises(ValueError):

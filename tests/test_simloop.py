@@ -49,11 +49,11 @@ def test_config_validation():
         replace(cfg, xhat0=np.zeros(4))
     with pytest.raises(ValueError):
         replace(cfg, observer=EeqObserver(
-            dim=2, rhs=lambda xh, y, u, t: np.zeros(2),
+            rhs=lambda xh, y, u, t: np.zeros(2),
             bound=ErrorBoundModel.constant(0.0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="3 columns"):
         replace(cfg, adaptive0=AdaptiveState(
-            theta_hat=np.zeros((2, 3)), theta_bar=np.full(2, 0.5),
+            theta_hat=np.zeros((3, 2)), theta_bar=np.full(3, 0.5),
             epsilon=0.1, mu=3.5))
 
 
@@ -214,7 +214,7 @@ def test_perfect_information_matches_baseline():
         observer=obs,
         barrier=BarrierChain.rd1(h=lambda x: x[1] - 1.0,
                                  grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0),
-        fat=FatConfig(N=3, omega=1.0, E=0.0),
+        fat=FatConfig(omega=1.0, E=0.0),
         adaptive0=AdaptiveState(theta_hat=np.zeros((3, 3)),
                                 theta_bar=np.full(3, 0.5),
                                 epsilon=1e-9, mu=3.5),
@@ -241,12 +241,12 @@ def test_hold_mode_keeps_last_feasible_control():
         input_map=lambda x: np.zeros((1, 1)),
         output_map=lambda x: x.copy(),
     )
-    obs = EeqObserver(dim=1, rhs=lambda xh, y, u, t: np.zeros(1), bound=bound)
+    obs = EeqObserver(rhs=lambda xh, y, u, t: np.zeros(1), bound=bound)
     cfg = SimConfig(
         system=sys_,
         observer=obs,
         barrier=BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.ones(1), L=1.0),
-        fat=FatConfig(N=1, omega=1.0, E=0.0),
+        fat=FatConfig(omega=1.0, E=0.0),
         adaptive0=AdaptiveState(theta_hat=np.zeros((1, 1)),
                                 theta_bar=np.array([1e-8]),
                                 epsilon=0.01, mu=3.0),
@@ -339,11 +339,25 @@ def _counting_bound(bound: ErrorBoundModel, counts: dict) -> ErrorBoundModel:
 @pytest.mark.parametrize("name", ["example1a", "example1c"])
 def test_per_row_work_stays_removed(monkeypatch, name):
     # each row evaluates M(t) once, for the row and the trace, and dM/dt
-    # once on proposed rows only; the loop builds no AdaptiveState
+    # once on proposed rows only; the loop builds no AdaptiveState. Each
+    # chain level is evaluated at xhat at most once per row: s_0 at x
+    # (h_true) and at xhat (h0, the baseline row), the top level at xhat
+    # (barrier_eps, the proposed row) and the middle levels never; on the
+    # r = 1 barrier s_0 is the top level and serves both at xhat
     counts = {"value": 0, "derivative": 0, "adaptive_state": 0}
     cfg = make_preset(name).cfg
+    chain = cfg.barrier
+    levels = [0] * chain.r
+
+    def counting(k):
+        def s(x):
+            levels[k] += 1
+            return chain.s[k](x)
+        return s
+
     bound = _counting_bound(cfg.observer.bound, counts)
-    cfg = replace(cfg, t_end=0.05, observer=replace(cfg.observer, bound=bound))
+    cfg = replace(cfg, t_end=0.05, observer=replace(cfg.observer, bound=bound),
+                  barrier=replace(chain, s=tuple(counting(k) for k in range(chain.r))))
     post_init = AdaptiveState.__post_init__
 
     def counting_post_init(self):
@@ -354,9 +368,11 @@ def test_per_row_work_stays_removed(monkeypatch, name):
     for controller, derivative_per_row in (("proposed", 1), ("baseline", 0)):
         run_cfg = replace(cfg, controller=controller)
         counts.update(value=0, derivative=0, adaptive_state=0)
+        levels[:] = [0] * chain.r
         rows = len(run_simulation(run_cfg))
         assert rows == 51
         assert counts == {"value": rows, "derivative": derivative_per_row * rows, "adaptive_state": 0}
+        assert levels == ([2 * rows] if chain.r == 1 else [2 * rows] + [0] * (chain.r - 2) + [rows])
 
 
 def test_cubic_observer_divergence_is_run_error():
@@ -388,7 +404,7 @@ def test_adaptive_path_off_preset_defaults_pinned(name):
     cfg = make_preset(name).cfg
     cfg = replace(
         cfg,
-        fat=FatConfig(N=3, omega=0.7, E=0.3),
+        fat=FatConfig(omega=0.7, E=0.3),
         adaptive0=AdaptiveState(theta_hat=THETA0_OFF_DEFAULT, theta_bar=cfg.adaptive0.theta_bar,
                                 epsilon=cfg.adaptive0.epsilon, mu=cfg.adaptive0.mu),
         on_infeasible="hold", t_end=2.3004, dt=1e-3,
