@@ -20,7 +20,7 @@ from .dynamics import (
     make_example1_system,
     make_rossler_system,
 )
-from .fat import AdaptiveLaw, AdaptiveState, FatConfig, adaptive_rhs, basis_row, fat_eval
+from .fat import AdaptiveState, adaptive_rhs, basis_row, fat_eval
 from .integrator import IntegrationError, OdeProblem, integrate, rk4_step, time_grid
 from .observer import (
     EeqObserver,
@@ -44,7 +44,6 @@ from .simloop import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdaptiveLaw",
     "AdaptiveState",
     "BarrierChain",
     "ConstraintCoeffs",
@@ -52,7 +51,6 @@ __all__ = [
     "EeqObserver",
     "ErrorBoundModel",
     "ExperimentPreset",
-    "FatConfig",
     "IntegrationError",
     "OdeProblem",
     "PRESET_NAMES",

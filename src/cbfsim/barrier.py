@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import ControlAffineSystem, check_shape
-from .fat import AdaptiveLaw, AdaptiveState
+from .fat import AdaptiveState
 from .observer import ErrorBoundModel
 
 # Names kept only because bench/tracer.py rebinds them; nothing here calls them.
@@ -120,7 +120,7 @@ def epsilon_bound_rdr(
 
 def constraint_rdr(
     chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, s_top: float,
-    law: AdaptiveLaw, theta_hat: np.ndarray, M: float, dM: float, phis: Vector, E: float,
+    law: AdaptiveState, theta_hat: np.ndarray, M: float, dM: float, phis: Vector,
 ) -> ConstraintCoeffs:
     """Constraint row on the top chain level s = s_{r-1} with constant L = L_{r-1}.
 
@@ -128,10 +128,10 @@ def constraint_rdr(
     the bound's drift -L dM/dt, the residual margin -||grad_s|| E, and the
     zeroing terms mu h_eps - mu N epsilon. The inputs are precomputed by the
     caller: the top level's value s_top = s_{r-1}(xhat), the run's adaptive
-    law (mu, epsilon, N), the (N, n) estimates theta_hat, the error bound
-    M(t) and its derivative dM(t), the basis row phis = [phi_1(t), ...,
-    phi_N(t)] and the tail bound E. The plant and barrier callables are
-    called directly; SimConfig checks their shapes once.
+    law (mu, epsilon, N and the tail bound E), the current (N, n) estimates
+    theta_hat, the error bound M(t) and its derivative dM(t) and the basis
+    row phis = [phi_1(t), ..., phi_N(t)]. The plant and barrier callables
+    are called directly; SimConfig checks their shapes once.
     """
     top = chain.r - 1
     L = chain.L_k[top]
@@ -143,7 +143,7 @@ def constraint_rdr(
     b = (
         grad.dot(sys.drift(xhat) + phis.dot(theta_hat))
         - L * dM
-        - math.sqrt(grad.dot(grad)) * E
+        - math.sqrt(grad.dot(grad)) * law.E
         + mu * deflated
         - mu * law.N * eps
     )

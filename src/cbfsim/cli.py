@@ -19,22 +19,24 @@ from typing import Optional
 import numpy as np
 
 from .presets import PRESET_NAMES, make_preset
-from .simloop import RunError, SimConfig, SimTrace, compute_epsilon_bound, run_pair, safety_report
+from .simloop import (
+    RunError, SimConfig, SimTrace, _epsilon_ok, compute_epsilon_bound, run_pair, safety_report,
+)
 
 Vector = np.ndarray
 
 # Override keys accepted in config documents and run_preset override maps.
 # Numbers: key -> the SimConfig field it lands in (None for SimConfig
-# itself). Values are only converted here; SimConfig, AdaptiveState and
-# FatConfig check their ranges and enums when they are rebuilt.
+# itself). Values are only converted here; SimConfig and AdaptiveState
+# check their ranges and enums when they are rebuilt.
 _NUMBER_OVERRIDES = {
     "dt": None,
     "t_end": None,
     "baseline_gamma": None,
     "epsilon": "adaptive0",
     "mu": "adaptive0",
-    "omega": "fat",
-    "E": "fat",
+    "omega": "adaptive0",
+    "E": "adaptive0",
 }
 CONFIG_KEYS = ("preset",) + tuple(_NUMBER_OVERRIDES) + (
     "x0", "xhat0", "u_d", "strict_feasibility", "on_infeasible")
@@ -65,10 +67,10 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
         if key not in CONFIG_KEYS or key == "preset":
             raise ValueError(f"unknown config key '{key}'")
     changes: dict = {}
-    nested: dict = {"adaptive0": {}, "fat": {}}
+    law: dict = {}
     for key, target in _NUMBER_OVERRIDES.items():
         if key in overrides:
-            (changes if target is None else nested[target])[key] = _require_number(key, overrides[key])
+            (changes if target is None else law)[key] = _require_number(key, overrides[key])
     for key in ("x0", "xhat0"):
         if key in overrides:
             changes[key] = _require_vector(key, overrides[key], cfg.system.n)
@@ -82,9 +84,8 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
         changes["strict_feasibility"] = v
     if "on_infeasible" in overrides:
         changes["on_infeasible"] = overrides["on_infeasible"]
-    for target, fields in nested.items():
-        if fields:
-            changes[target] = replace(getattr(cfg, target), **fields)
+    if law:
+        changes["adaptive0"] = replace(cfg.adaptive0, **law)
     return replace(cfg, **changes) if changes else cfg
 
 
@@ -228,18 +229,19 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
 
 
 def _print_feasibility(bound: float, used: float, out) -> bool:
-    if bound <= 0:
+    """Print the epsilon verdict of simloop._epsilon_ok; return it."""
+    ok = _epsilon_ok(bound, used)
+    if ok:
+        print(f"epsilon feasibility: bound {bound:.6g}, using {used:g} (ok)", file=out)
+    elif not bound > 0:
         print(
             f"warning: epsilon bound {bound:.6g} is non-positive; no feasible epsilon "
             f"exists for this initial data (configured epsilon={used:g})",
             file=out,
         )
-        return False
-    if used > bound + 1e-12:
+    else:
         print(f"warning: epsilon {used:g} exceeds the feasibility bound {bound:.6g}", file=out)
-        return False
-    print(f"epsilon feasibility: bound {bound:.6g}, using {used:g} (ok)", file=out)
-    return True
+    return ok
 
 
 def _print_report(label: str, report, out) -> None:
@@ -278,18 +280,22 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
         print(f"error: {err}", file=sys.stderr)
         return 1
 
-    os.makedirs(out_dir, exist_ok=True)
     paths = {
         "proposed": os.path.join(out_dir, f"{name}_proposed.csv"),
         "baseline": os.path.join(out_dir, f"{name}_baseline.csv"),
         "plot": os.path.join(out_dir, f"{name}_h.svg"),
     }
-    with open(paths["proposed"], "w", newline="") as f:
-        f.write(emit_csv(proposed))
-    with open(paths["baseline"], "w", newline="") as f:
-        f.write(emit_csv(baseline))
-    with open(paths["plot"], "w", newline="") as f:
-        f.write(emit_plot([("proposed", proposed), ("baseline", baseline)], "h_true"))
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with open(paths["proposed"], "w", newline="") as f:
+            f.write(emit_csv(proposed))
+        with open(paths["baseline"], "w", newline="") as f:
+            f.write(emit_csv(baseline))
+        with open(paths["plot"], "w", newline="") as f:
+            f.write(emit_plot([("proposed", proposed), ("baseline", baseline)], "h_true"))
+    except OSError as err:
+        print(f"error: cannot write output: {err}", file=sys.stderr)
+        return 1
 
     _print_report("proposed", safety_report(proposed, cfg), out)
     _print_report("baseline", safety_report(baseline, cfg), out)

@@ -37,7 +37,7 @@ from .dynamics import (
     make_example1_system,
     make_rossler_system,
 )
-from .fat import AdaptiveState, FatConfig
+from .fat import AdaptiveState
 from .observer import ErrorBoundModel, make_luenberger, make_rossler_observer
 from .simloop import SimConfig
 
@@ -105,12 +105,14 @@ def _example1_observer(lam: float) -> tuple:
     return obs, bound
 
 
-def _adaptive0(n: int, N: int, epsilon: float, mu: float) -> AdaptiveState:
+def _adaptive0(n: int, N: int, epsilon: float, mu: float, omega: float, E: float) -> AdaptiveState:
     return AdaptiveState(
         theta_hat=np.zeros((N, n)),
         theta_bar=np.full(N, 0.5),
         epsilon=epsilon,
         mu=mu,
+        omega=omega,
+        E=E,
     )
 
 
@@ -123,8 +125,7 @@ def make_preset(name: str) -> ExperimentPreset:
             system=make_example1_system(),
             observer=obs,
             barrier=barrier,
-            fat=FatConfig(omega=1.0, E=0.1),
-            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=3.5),
+            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=3.5, omega=1.0, E=0.1),
             x0=np.array([2.0, 2.2, 2.0]),
             xhat0=np.array([3.0, 3.5, 3.0]),
             u_nominal=_const_u([-2.0]),
@@ -144,8 +145,7 @@ def make_preset(name: str) -> ExperimentPreset:
             system=make_example1_system(),
             observer=obs,
             barrier=barrier,
-            fat=FatConfig(omega=1.0, E=0.1),
-            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=10.0),
+            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=10.0, omega=1.0, E=0.1),
             x0=np.array([2.4, -3.0, -3.0]),
             xhat0=np.array([3.4, -2.0, -2.0]),
             u_nominal=_const_u([-2.0]),
@@ -164,8 +164,7 @@ def make_preset(name: str) -> ExperimentPreset:
             system=make_rossler_system(*ROSSLER_PARAMS),
             observer=obs,
             barrier=barrier,
-            fat=FatConfig(omega=1.0, E=0.1),
-            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=2.5),
+            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=2.5, omega=1.0, E=0.1),
             x0=np.array([-0.5, 0.5, 3.0]),
             xhat0=np.array([0.2, 2.0, 3.0]),
             u_nominal=_const_u([-2.0, -2.0, -2.0]),

@@ -23,7 +23,7 @@ import numpy as np
 
 from .barrier import BarrierChain, ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
 from .dynamics import ControlAffineSystem, check_callables, check_shape
-from .fat import AdaptiveLaw, AdaptiveState, FatConfig
+from .fat import AdaptiveState
 from .integrator import IntegrationError, OdeProblem, rk4_step, time_grid
 from .observer import EeqObserver
 from .qp import solve_halfspace_qp
@@ -58,7 +58,6 @@ class SimConfig:
     system: ControlAffineSystem
     observer: EeqObserver
     barrier: BarrierChain
-    fat: FatConfig
     adaptive0: AdaptiveState
     x0: Vector
     xhat0: Vector
@@ -184,9 +183,8 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map
     obs_rhs = cfg.observer.rhs
     bound_value, bound_derivative = cfg.observer.bound.value, cfg.observer.bound.derivative
-    fat_cfg = cfg.fat
-    state0 = cfg.adaptive0
-    n, m, N = sys_.n, sys_.m, state0.N
+    law = cfg.adaptive0
+    n, m, N = sys_.n, sys_.m, law.N
     n2 = 2 * n
     chain = cfg.barrier
     top = chain.r - 1
@@ -208,9 +206,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         # z = (x, xhat, theta_hat); the basis row is reused while the stage
         # time repeats: the loop's row at t serves RK4 stage 1, and stages 2
         # and 3 share t + dt/2.
-        law = AdaptiveLaw.of(state0, fat_cfg)
         law_rhs, law_row = law.rhs, law.basis_row
-        E = fat_cfg.E
         row_t, row = None, None
 
         def rhs(t: float, z: Vector) -> Vector:
@@ -225,7 +221,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             dz[n2:] = law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), row).ravel()
             return dz
 
-        z = np.concatenate([cfg.x0, cfg.xhat0, state0.theta_hat.ravel()])
+        z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
     else:
         # z = (x, xhat): theta_hat is frozen, so its RK4 update would be an
         # exact zero.
@@ -237,13 +233,13 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             return dz
 
         z = np.concatenate([cfg.x0, cfg.xhat0])
-        tr_th[:] = np.linalg.norm(state0.theta_hat, axis=1)
+        tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
 
     problem = OdeProblem(dim=z.shape[0], rhs=rhs)
     gamma = cfg.baseline_gamma
     hold = cfg.on_infeasible == "hold"
     u_nominal = cfg.u_nominal
-    eps = state0.epsilon
+    eps = law.epsilon
     last_feasible_u: Optional[Vector] = None
 
     for i in range(S):
@@ -259,7 +255,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             theta = z[n2:].reshape(N, n)
             if t != row_t:
                 row_t, row = t, law_row(t)
-            coeffs = constraint_rdr(chain, sys_, xhat, s_top, law, theta, M, float(bound_derivative(t)), row, E)
+            coeffs = constraint_rdr(chain, sys_, xhat, s_top, law, theta, M, float(bound_derivative(t)), row)
         else:
             g = base_grad(xhat)
             coeffs = ConstraintCoeffs(

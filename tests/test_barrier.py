@@ -4,12 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from cbfsim import (
-    AdaptiveLaw,
     AdaptiveState,
     BarrierChain,
     ConstraintCoeffs,
     ErrorBoundModel,
-    FatConfig,
     constraint_rdr,
     epsilon_bound_rdr,
     fat_eval,
@@ -40,12 +38,12 @@ XHAT_1B = np.array([3.4, -2.0, -2.0])
 XHAT_EX2 = np.array([0.2, 2.0, 3.0])
 
 
-def _adaptive(n=3, N=3, epsilon=0.1, mu=3.5, theta_hat=None, theta_bar=None):
+def _adaptive(n=3, N=3, epsilon=0.1, mu=3.5, theta_hat=None, theta_bar=None, E=0.0):
     if theta_hat is None:
         theta_hat = np.zeros((N, n))
     if theta_bar is None:
         theta_bar = np.full(N, 0.5)
-    return AdaptiveState(theta_hat=theta_hat, theta_bar=theta_bar, epsilon=epsilon, mu=mu)
+    return AdaptiveState(theta_hat=theta_hat, theta_bar=theta_bar, epsilon=epsilon, mu=mu, E=E)
 
 
 def _skm(chain, k, xhat, t, bound):
@@ -53,12 +51,11 @@ def _skm(chain, k, xhat, t, bound):
     return float(chain.s[k](np.asarray(xhat, dtype=float))) - chain.L_k[k] * float(bound.value(t))
 
 
-def _row(chain, sys_, xhat, st, cfg, bound, t):
+def _row(chain, sys_, xhat, st, bound, t):
     """constraint_rdr on the inputs that run_simulation precomputes at time t."""
-    law = AdaptiveLaw.of(st, cfg)
     s_top = float(chain.s[chain.r - 1](xhat))
-    return constraint_rdr(chain, sys_, xhat, s_top, law, st.theta_hat, float(bound.value(t)),
-                          float(bound.derivative(t)), law.basis_row(t), cfg.E)
+    return constraint_rdr(chain, sys_, xhat, s_top, st, st.theta_hat, float(bound.value(t)),
+                          float(bound.derivative(t)), st.basis_row(t))
 
 
 def test_h0_values():
@@ -183,9 +180,8 @@ def test_constraint_rd1_hand_assembly():
     # all terms at t=0: 0.5 drift slope, 0.1 bound drift, 0.1 tail margin,
     # 1.4 zeroing pull, 1.05 epsilon offset
     sys_ = make_example1_system()
-    st = _adaptive()
-    cfg = FatConfig(E=0.1)
-    c = _row(H_1A, sys_, XHAT_1A, st, cfg, EXP_BOUND, 0.0)
+    st = _adaptive(E=0.1)
+    c = _row(H_1A, sys_, XHAT_1A, st, EXP_BOUND, 0.0)
     np.testing.assert_allclose(c.a, [1.0], atol=1e-14)
     assert c.b == pytest.approx(-0.35, abs=1e-12)
     # feasible set is u >= 0.35
@@ -195,8 +191,7 @@ def test_constraint_rd1_hand_assembly():
 def test_constraint_rd1_reduces_to_nominal_row():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
-    cfg = FatConfig(E=0.0)
-    c = _row(H_1A, sys_, XHAT_1A, st, cfg, ZERO_BOUND, 0.0)
+    c = _row(H_1A, sys_, XHAT_1A, st, ZERO_BOUND, 0.0)
     grad = H_1A.grad_s[0](XHAT_1A)
     np.testing.assert_allclose(c.a, grad @ np.array([[0.0], [1.0], [1.0]]), atol=1e-14)
     assert c.b == pytest.approx(grad @ eval_drift(sys_, XHAT_1A), abs=1e-9)
@@ -211,7 +206,7 @@ def test_constraint_rd1_uncontrollable_direction():
         input_map=lambda x: np.zeros((3, 1)),
         output_map=lambda x: x[:1],
     )
-    c = _row(H_1A, sys_, XHAT_1A, _adaptive(), FatConfig(), ZERO_BOUND, 0.0)
+    c = _row(H_1A, sys_, XHAT_1A, _adaptive(), ZERO_BOUND, 0.0)
     np.testing.assert_array_equal(c.a, [0.0])
 
 
@@ -222,10 +217,9 @@ def test_constraint_rdr_matches_rd1_on_degenerate_chain():
     h, grad_h = H_1A.s[0], H_1A.grad_s[0]
     assert H_1A == BarrierChain(s=(h,), grad_s=(grad_h,), lam=(), L_k=(1.0,))
     sys_ = make_example1_system()
-    st = _adaptive()
-    cfg = FatConfig(E=0.1)
+    st = _adaptive(E=0.1)
     t = 0.3
-    c = _row(H_1A, sys_, XHAT_1A, st, cfg, EXP_BOUND, t)
+    c = _row(H_1A, sys_, XHAT_1A, st, EXP_BOUND, t)
     g = grad_h(XHAT_1A)
     M, dM = EXP_BOUND.value(t), EXP_BOUND.derivative(t)
     want_b = (g @ eval_drift(sys_, XHAT_1A) - dM - 0.1
@@ -237,19 +231,17 @@ def test_constraint_rdr_matches_rd1_on_degenerate_chain():
 def test_constraint_rdr_input_annihilated():
     # grad_s1 . B = [1,2,-2] . [0,1,1] = 0: the row never sees u
     sys_ = make_example1_system()
-    st = _adaptive(mu=10.0)
-    cfg = FatConfig(E=0.1)
+    st = _adaptive(mu=10.0, E=0.1)
     rng = np.random.default_rng(9)
     for _ in range(10):
-        c = _row(CHAIN_1B, sys_, rng.normal(size=3), st, cfg, EXP_BOUND, 0.0)
+        c = _row(CHAIN_1B, sys_, rng.normal(size=3), st, EXP_BOUND, 0.0)
         np.testing.assert_allclose(c.a, [0.0], atol=1e-14)
 
 
 def test_constraint_rdr_drift_only_reduction():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
-    cfg = FatConfig(E=0.0)
-    c = _row(CHAIN_1B, sys_, XHAT_1B, st, cfg, ZERO_BOUND, 0.0)
+    c = _row(CHAIN_1B, sys_, XHAT_1B, st, ZERO_BOUND, 0.0)
     want = CHAIN_1B.grad_s[1](XHAT_1B) @ eval_drift(sys_, XHAT_1B)
     assert c.b == pytest.approx(want, abs=1e-9)
 
@@ -274,17 +266,18 @@ def test_lean_row_matches_written_out_formula(name):
             theta_bar=rng.uniform(0.1, 2.0, size=N),
             epsilon=float(rng.uniform(1e-3, 1.0)),
             mu=float(rng.uniform(0.1, 10.0)),
+            omega=float(rng.uniform(0.2, 3.0)),
+            E=float(rng.uniform(1e-3, 2.0)),
         )
-        fat_cfg = FatConfig(omega=float(rng.uniform(0.2, 3.0)), E=float(rng.uniform(1e-3, 2.0)))
-        c = _row(chain, sys_, xhat, st, fat_cfg, bound, t)
+        c = _row(chain, sys_, xhat, st, bound, t)
 
         grad = grad_s(xhat)
         a = grad @ sys_.input_map(xhat)
         deflated = float(s_top(xhat)) - L * float(bound.value(t)) - st.epsilon
         b = float(
-            grad @ (sys_.drift(xhat) + fat_eval(st, fat_cfg, t))
+            grad @ (sys_.drift(xhat) + fat_eval(st, t))
             - L * float(bound.derivative(t))
-            - float(np.linalg.norm(grad)) * fat_cfg.E
+            - float(np.linalg.norm(grad)) * st.E
             + st.mu * deflated
             - st.mu * st.N * st.epsilon
         )
@@ -312,9 +305,8 @@ def test_monotone_conservatism():
     small = ErrorBoundModel.constant(1.0)
     assert _skm(H_1A, 0, XHAT_1A, ts, big) < _skm(H_1A, 0, XHAT_1A, ts, small)
     sys_ = make_example1_system()
-    st = _adaptive()
-    b_lo = _row(H_1A, sys_, XHAT_1A, st, FatConfig(E=0.1), EXP_BOUND, 0.0).b
-    b_hi = _row(H_1A, sys_, XHAT_1A, st, FatConfig(E=0.5), EXP_BOUND, 0.0).b
+    b_lo = _row(H_1A, sys_, XHAT_1A, _adaptive(E=0.1), EXP_BOUND, 0.0).b
+    b_hi = _row(H_1A, sys_, XHAT_1A, _adaptive(E=0.5), EXP_BOUND, 0.0).b
     assert b_hi < b_lo
 
 

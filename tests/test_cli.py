@@ -37,7 +37,7 @@ def test_parse_config_overrides_land_where_they_belong():
     """)
     assert cfg.dt == 0.01 and cfg.t_end == 2.0
     assert cfg.adaptive0.epsilon == 0.05 and cfg.adaptive0.mu == 4.0
-    assert cfg.fat.omega == 2.0 and cfg.fat.E == 0.2
+    assert cfg.adaptive0.omega == 2.0 and cfg.adaptive0.E == 0.2
     np.testing.assert_array_equal(cfg.x0, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [0.5])
     assert cfg.on_infeasible == "hold"
@@ -227,7 +227,7 @@ def test_preset_fidelity_example1a():
     cfg = make_preset("example1a").cfg
     np.testing.assert_array_equal(cfg.x0, [2.0, 2.2, 2.0])
     np.testing.assert_array_equal(cfg.xhat0, [3.0, 3.5, 3.0])
-    assert cfg.adaptive0.N == 3 and cfg.fat.E == 0.1 and cfg.fat.omega == 1.0
+    assert cfg.adaptive0.N == 3 and cfg.adaptive0.E == 0.1 and cfg.adaptive0.omega == 1.0
     np.testing.assert_array_equal(cfg.adaptive0.theta_bar, np.full(3, 0.5))
     np.testing.assert_array_equal(cfg.adaptive0.theta_hat, np.zeros((3, 3)))
     assert cfg.adaptive0.epsilon == 0.1 and cfg.adaptive0.mu == 3.5
@@ -245,6 +245,7 @@ def test_preset_fidelity_example1b():
     np.testing.assert_array_equal(cfg.x0, [2.4, -3.0, -3.0])
     np.testing.assert_array_equal(cfg.xhat0, [3.4, -2.0, -2.0])
     assert cfg.adaptive0.mu == 10.0 and cfg.adaptive0.epsilon == 0.1
+    assert cfg.adaptive0.E == 0.1 and cfg.adaptive0.omega == 1.0
     bar = cfg.barrier
     assert bar.r == 2 and bar.lam == (2.0,) and bar.L_k == (1.0, 3.0)
     assert bar.s[0](cfg.xhat0) == pytest.approx(2.4)
@@ -258,6 +259,7 @@ def test_preset_fidelity_example1c():
     np.testing.assert_array_equal(cfg.x0, [2.4, -3.0, -3.0])
     np.testing.assert_array_equal(cfg.xhat0, [3.4, -2.0, -2.0])
     assert cfg.adaptive0.mu == 10.0 and cfg.adaptive0.epsilon == 0.1
+    assert cfg.adaptive0.E == 0.1 and cfg.adaptive0.omega == 1.0
     bar = cfg.barrier
     assert bar.r == 3 and bar.lam == (2.0, 2.0)
     assert bar.L_k == (1.0, 3.0, pytest.approx(np.sqrt(21.0), abs=1e-15))
@@ -275,6 +277,7 @@ def test_preset_fidelity_example2():
     np.testing.assert_array_equal(cfg.x0, [-0.5, 0.5, 3.0])
     np.testing.assert_array_equal(cfg.xhat0, [0.2, 2.0, 3.0])
     assert cfg.adaptive0.mu == 2.5
+    assert cfg.adaptive0.E == 0.1 and cfg.adaptive0.omega == 1.0
     assert cfg.observer.bound.value(1.0) == pytest.approx(2.0 * np.exp(0.15))
     assert cfg.barrier.s[0](np.array([0.0, -1.0, 0.0])) == pytest.approx(0.0)
     assert ROSSLER_PARAMS == (0.2, 0.2, 5.0)
@@ -375,7 +378,7 @@ def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
     ({"on_infeasible": "drop"}, "on_infeasible must be 'nominal' or 'hold'"),
     ({"epsilon": 0}, "epsilon must be > 0"),  # AdaptiveState
     ({"mu": -2}, "mu must be > 0"),
-    ({"omega": 0}, "omega must be > 0"),  # FatConfig
+    ({"omega": 0}, "omega must be > 0"),  # AdaptiveState, the series' frequency
     ({"E": -0.5}, "E must be >= 0"),
 ])
 def test_range_and_enum_errors_come_from_the_constructors(tmp_path, capsys, override, message):
@@ -400,3 +403,40 @@ def test_cli_step_cap_is_one_error_line(tmp_path):
         "error: t_end / dt asks for 1e+15 steps; at most 10000000 are allowed"]
     assert "Traceback" not in proc.stdout + proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides,line,ok", [
+    pytest.param({}, "epsilon feasibility: bound 0.166667, using 0.1 (ok)", True, id="ok"),
+    pytest.param({"epsilon": 0.2}, "warning: epsilon 0.2 exceeds the feasibility bound 0.166667",
+                 False, id="exceeds"),
+    pytest.param({"x0": [2, 1.4, 2], "xhat0": [2, 1.4, 2]},
+                 "warning: epsilon bound -0.533333 is non-positive; no feasible epsilon exists "
+                 "for this initial data (configured epsilon=0.1)", False, id="non-positive"),
+])
+def test_feasibility_line_follows_the_epsilon_verdict(tmp_path, capsys, overrides, line, ok):
+    # the CLI's first stdout line is chosen by the same verdict that
+    # safety_report records as epsilon_ok
+    cfg = apply_overrides(make_preset("example1a").cfg, dict(overrides, t_end=0))
+    assert safety_report(run_simulation(cfg), cfg).epsilon_ok is ok
+    code = run_preset("example1a", dict(overrides, t_end=0, strict_feasibility=True),
+                      out_dir=str(tmp_path / "out"))
+    assert code == (0 if ok else 2)
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
+@pytest.mark.parametrize("kind", ["existing-file", "under-a-file"])
+def test_cli_unwritable_out_is_one_error_line(tmp_path, kind):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    out = blocker if kind == "existing-file" else blocker / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(cbfsim.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbfsim", "run", "--preset", "example1a", "--t-end", "0.01",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: cannot write output: ")
+    assert "Traceback" not in proc.stdout + proc.stderr
+    assert blocker.read_text() == "not a directory"

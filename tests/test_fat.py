@@ -1,11 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cbfsim import (
     AdaptiveState,
-    FatConfig,
     OdeProblem,
     adaptive_rhs,
     basis_row,
@@ -40,75 +40,66 @@ def test_basis_row_matches_scalar():
 
 
 def test_fat_eval_zero_coefficients():
-    cfg = FatConfig()
-    np.testing.assert_array_equal(fat_eval(_state(np.zeros((3, 2))), cfg, 1.0), np.zeros(2))
+    np.testing.assert_array_equal(fat_eval(_state(np.zeros((3, 2))), 1.0), np.zeros(2))
 
 
 def test_fat_eval_single_term():
-    cfg = FatConfig()
-    out = fat_eval(_state([[2.0, 0.0]]), cfg, 0.0)
+    out = fat_eval(_state([[2.0, 0.0]]), 0.0)
     np.testing.assert_allclose(out, [2.0, 0.0], atol=1e-15)
 
 
 def test_fat_eval_two_terms_quarter_period():
-    cfg = FatConfig()
-    out = fat_eval(_state([[1.0], [1.0]]), cfg, math.pi / 2)
+    out = fat_eval(_state([[1.0], [1.0]]), math.pi / 2)
     # cos(pi/2) + sin(pi/2) = 1
     np.testing.assert_allclose(out, [1.0], atol=1e-12)
 
 
 def test_fat_eval_linear_in_theta():
-    cfg = FatConfig()
     rng = np.random.default_rng(2)
     th1, th2 = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
     t = 0.9
-    lhs = fat_eval(_state(2.0 * th1 + 3.0 * th2), cfg, t)
-    rhs = 2.0 * fat_eval(_state(th1), cfg, t) + 3.0 * fat_eval(_state(th2), cfg, t)
+    lhs = fat_eval(_state(2.0 * th1 + 3.0 * th2), t)
+    rhs = 2.0 * fat_eval(_state(th1), t) + 3.0 * fat_eval(_state(th2), t)
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_adaptive_rhs_hand_value():
     # -(0.25 / 0.2) grad with zero leak contribution
-    cfg = FatConfig()
-    out = adaptive_rhs(_state(np.zeros((1, 3))), np.array([0.0, 1.0, 0.0]), cfg, 0.0)
+    out = adaptive_rhs(_state(np.zeros((1, 3))), np.array([0.0, 1.0, 0.0]), 0.0)
     np.testing.assert_allclose(out, [[0.0, -1.25, 0.0]], atol=1e-14)
 
 
 def test_adaptive_rhs_pure_leak():
-    cfg = FatConfig()
-    out = adaptive_rhs(_state([[1.0, 1.0]], mu=2.0), np.zeros(2), cfg, 0.0)
+    out = adaptive_rhs(_state([[1.0, 1.0]], mu=2.0), np.zeros(2), 0.0)
     np.testing.assert_allclose(out, [[-2.0, -2.0]], atol=1e-15)
 
 
 def test_adaptive_rhs_equilibrium():
-    cfg = FatConfig()
-    out = adaptive_rhs(_state(np.zeros((2, 3))), np.zeros(3), cfg, 0.5)
+    out = adaptive_rhs(_state(np.zeros((2, 3))), np.zeros(3), 0.5)
     np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
 
 def test_adaptive_rhs_basis_scaling():
     # at t where phi_2 = sin(omega t) = 1, row 2 sees the full gradient gain
-    cfg = FatConfig()
     st = _state(np.zeros((2, 1)), theta_bar=np.array([1.0, 1.0]), epsilon=0.5)
-    out = adaptive_rhs(st, np.array([1.0]), cfg, math.pi / 2)
+    out = adaptive_rhs(st, np.array([1.0]), math.pi / 2)
     np.testing.assert_allclose(out[1], [-1.0], atol=1e-12)
     np.testing.assert_allclose(out[0], [0.0], atol=1e-12)  # cos(pi/2) = 0
 
 
 def test_adaptive_rhs_grad_length_checked():
     with pytest.raises(ValueError):
-        adaptive_rhs(_state(np.zeros((1, 3))), np.zeros(2), FatConfig(), 0.0)
+        adaptive_rhs(_state(np.zeros((1, 3))), np.zeros(2), 0.0)
 
 
 def test_leak_decay_norm():
     # grad = 0 reduces the law to theta' = -mu theta; integrate and compare
     # against the exact exponential decay of the norm.
-    cfg = FatConfig()
     mu = 2.0
     th0 = np.array([[1.0, -2.0], [0.5, 0.25]])
 
     def rhs(t, z):
-        return adaptive_rhs(_state(z.reshape(2, 2), mu=mu), np.zeros(2), cfg, t).ravel()
+        return adaptive_rhs(_state(z.reshape(2, 2), mu=mu), np.zeros(2), t).ravel()
 
     out = integrate(OdeProblem(dim=4, rhs=rhs), 0.0, th0.ravel(), 1.0, 1e-3)
     for i in range(2):
@@ -132,13 +123,39 @@ def test_orthogonality_on_one_period():
 def test_config_validation():
     with pytest.raises(ValueError):
         AdaptiveState(theta_hat=np.zeros((0, 2)), theta_bar=np.zeros(0), epsilon=0.1, mu=1.0)
-    with pytest.raises(ValueError):
-        FatConfig(omega=0.0)
-    with pytest.raises(ValueError):
-        FatConfig(E=-0.1)
+    with pytest.raises(ValueError, match="omega must be > 0"):
+        AdaptiveState(theta_hat=np.zeros((1, 2)), theta_bar=np.array([0.5]), epsilon=0.1, mu=1.0,
+                      omega=0.0)
+    with pytest.raises(ValueError, match="E must be >= 0"):
+        AdaptiveState(theta_hat=np.zeros((1, 2)), theta_bar=np.array([0.5]), epsilon=0.1, mu=1.0,
+                      E=-0.1)
     with pytest.raises(ValueError):
         AdaptiveState(theta_hat=np.zeros((1, 2)), theta_bar=np.array([0.5]), epsilon=0.0, mu=1.0)
     with pytest.raises(ValueError):
         AdaptiveState(theta_hat=np.zeros((1, 2)), theta_bar=np.array([-0.5]), epsilon=0.1, mu=1.0)
     with pytest.raises(ValueError):
         AdaptiveState(theta_hat=np.zeros(3), theta_bar=np.array([0.5]), epsilon=0.1, mu=1.0)
+
+
+def test_derived_constants_follow_replace():
+    # gain and terms are derived in __post_init__; replace must rebuild them,
+    # so every replaced record matches a fresh construction
+    base = dict(theta_hat=np.zeros((3, 2)), theta_bar=np.array([0.5, 1.0, 2.0]),
+                epsilon=0.1, mu=3.5, omega=1.0, E=0.1)
+    st = AdaptiveState(**base)
+    rng = np.random.default_rng(4)
+    for change in (
+        {"epsilon": 0.4},
+        {"omega": 2.5},
+        {"theta_hat": rng.normal(size=(5, 2)), "theta_bar": np.full(5, 0.7)},
+    ):
+        fresh = AdaptiveState(**{**base, **change})
+        got = replace(st, **change)
+        assert got.gain.tobytes() == fresh.gain.tobytes(), change
+        assert got.terms == fresh.terms, change
+        assert got.N == fresh.N == fresh.theta_hat.shape[0] == len(fresh.terms), change
+        np.testing.assert_array_equal(got.basis_row(0.9), basis_row(fresh.N, fresh.omega, 0.9))
+    assert replace(st, epsilon=0.4).gain.tolist() == [-0.3125, -1.25, -5.0]
+    assert [w for _, w in replace(st, omega=2.5).terms] == [2.5, 2.5, 5.0]
+    with pytest.raises(ValueError):
+        replace(st, gain=np.zeros(3))  # derived, not settable

@@ -11,7 +11,6 @@ from cbfsim import (
     ControlAffineSystem,
     EeqObserver,
     ErrorBoundModel,
-    FatConfig,
     RunError,
     SimConfig,
     emit_csv,
@@ -214,7 +213,6 @@ def test_perfect_information_matches_baseline():
         observer=obs,
         barrier=BarrierChain.rd1(h=lambda x: x[1] - 1.0,
                                  grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0),
-        fat=FatConfig(omega=1.0, E=0.0),
         adaptive0=AdaptiveState(theta_hat=np.zeros((3, 3)),
                                 theta_bar=np.full(3, 0.5),
                                 epsilon=1e-9, mu=3.5),
@@ -246,7 +244,6 @@ def test_hold_mode_keeps_last_feasible_control():
         system=sys_,
         observer=obs,
         barrier=BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.ones(1), L=1.0),
-        fat=FatConfig(omega=1.0, E=0.0),
         adaptive0=AdaptiveState(theta_hat=np.zeros((1, 1)),
                                 theta_bar=np.array([1e-8]),
                                 epsilon=0.01, mu=3.0),
@@ -404,9 +401,9 @@ def test_adaptive_path_off_preset_defaults_pinned(name):
     cfg = make_preset(name).cfg
     cfg = replace(
         cfg,
-        fat=FatConfig(omega=0.7, E=0.3),
         adaptive0=AdaptiveState(theta_hat=THETA0_OFF_DEFAULT, theta_bar=cfg.adaptive0.theta_bar,
-                                epsilon=cfg.adaptive0.epsilon, mu=cfg.adaptive0.mu),
+                                epsilon=cfg.adaptive0.epsilon, mu=cfg.adaptive0.mu,
+                                omega=0.7, E=0.3),
         on_infeasible="hold", t_end=2.3004, dt=1e-3,
     )
     runs = dict(zip(("proposed", "baseline"), run_pair(cfg)))
