@@ -11,7 +11,7 @@ from .barrier import (
     constraint_rdr,
     epsilon_bound_rdr,
 )
-from .cli import apply_overrides, emit_csv, emit_plot, main, parse_config, run_preset
+from .cli import apply_overrides, emit_csv, emit_plot, main, run_preset
 from .dynamics import (
     ControlAffineSystem,
     eval_drift,
@@ -78,7 +78,6 @@ __all__ = [
     "make_preset",
     "make_rossler_observer",
     "make_rossler_system",
-    "parse_config",
     "rk4_step",
     "run_pair",
     "run_preset",

@@ -25,7 +25,7 @@ from .simloop import (
 
 Vector = np.ndarray
 
-# Override keys accepted in config documents and run_preset override maps.
+# Override keys of apply_overrides (run_preset also takes "strict_feasibility").
 # Numbers: key -> the SimConfig field it lands in (None for SimConfig
 # itself). Values are only converted here; SimConfig and AdaptiveState
 # check their ranges and enums when they are rebuilt.
@@ -39,7 +39,7 @@ _NUMBER_OVERRIDES = {
     "E": "adaptive0",
 }
 CONFIG_KEYS = ("preset",) + tuple(_NUMBER_OVERRIDES) + (
-    "x0", "xhat0", "u_d", "strict_feasibility", "on_infeasible")
+    "x0", "xhat0", "u_d", "on_infeasible")
 
 
 def _require_number(key: str, value) -> float:
@@ -77,11 +77,6 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     if "u_d" in overrides:
         vec = _require_vector("u_d", overrides["u_d"], cfg.system.m)
         changes["u_nominal"] = lambda t, xhat: vec
-    if "strict_feasibility" in overrides:
-        v = overrides["strict_feasibility"]
-        if not isinstance(v, bool):
-            raise ValueError("invalid value for 'strict_feasibility': expected a boolean")
-        changes["strict_feasibility"] = v
     if "on_infeasible" in overrides:
         changes["on_infeasible"] = overrides["on_infeasible"]
     if law:
@@ -90,7 +85,7 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
 
 
 def _parse_config_doc(text: str) -> tuple[str, dict]:
-    """JSON text -> (preset name, override map), both validated."""
+    """JSON text -> (preset name, override map); run_preset checks both."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -99,16 +94,7 @@ def _parse_config_doc(text: str) -> tuple[str, dict]:
         raise ValueError("config root must be a JSON object")
     if "preset" not in doc:
         raise ValueError("config must contain a 'preset' key")
-    name = doc["preset"]
-    if name not in PRESET_NAMES:
-        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    return name, {k: v for k, v in doc.items() if k != "preset"}
-
-
-def parse_config(text: str) -> SimConfig:
-    """Parse and validate a JSON config document into a SimConfig."""
-    name, overrides = _parse_config_doc(text)
-    return apply_overrides(make_preset(name).cfg, overrides)
+    return doc["preset"], {k: v for k, v in doc.items() if k != "preset"}
 
 
 # Rows are formatted and joined per block of this many, so that only one
@@ -257,21 +243,23 @@ def _print_report(label: str, report, out) -> None:
 def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out") -> int:
     """Run a preset's proposed/baseline pair and write traces and a plot.
 
-    Returns the process exit status: 0 on success, 2 when a strict
-    feasibility check rejects epsilon, 1 on any other error.
+    overrides may hold the CLI-only key "strict_feasibility" besides the
+    CONFIG_KEYS. Returns the process exit status: 0 on success, 2 when the
+    strict feasibility check rejects epsilon, 1 on any other error.
     """
     out = sys.stdout
-    if name not in PRESET_NAMES:
-        print(f"error: unknown preset {name!r}; choose from {PRESET_NAMES}", file=sys.stderr)
-        return 1
+    overrides = dict(overrides or {})
+    strict = overrides.pop("strict_feasibility", False)
     try:
-        cfg = apply_overrides(make_preset(name).cfg, dict(overrides or {}))
+        cfg = apply_overrides(make_preset(name).cfg, overrides)
+        if not isinstance(strict, bool):
+            raise ValueError("invalid value for 'strict_feasibility': expected a boolean")
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     ok = _print_feasibility(compute_epsilon_bound(cfg), cfg.adaptive0.epsilon, out)
-    if cfg.strict_feasibility and not ok:
+    if strict and not ok:
         print("strict feasibility check failed; not running", file=out)
         return 2
     try:

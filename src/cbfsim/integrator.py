@@ -60,8 +60,8 @@ def time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     """Step boundaries t0, t0+dt, ..., ending exactly at t_end.
 
     The final step is shortened when (t_end - t0) is not a whole multiple
-    of dt; a remainder below dt*1e-9 is treated as zero so floating-point
-    division noise never emits a degenerate step.
+    of dt; once a whole step fits, a remainder below dt*1e-9 is treated as
+    zero so floating-point division noise never emits a degenerate step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -70,7 +70,7 @@ def time_grid(t0: float, t_end: float, dt: float) -> np.ndarray:
     span = t_end - t0
     n_whole = int(np.floor(span / dt + 1e-9))
     times = t0 + dt * np.arange(n_whole + 1)
-    if span - n_whole * dt > dt * 1e-9:
+    if span - n_whole * dt > (dt * 1e-9 if n_whole else 0.0):
         times = np.append(times, t_end)
     times[-1] = t_end  # force exact endpoint
     times[0] = t0

@@ -38,7 +38,7 @@ from .dynamics import (
     make_rossler_system,
 )
 from .fat import AdaptiveState
-from .observer import ErrorBoundModel, make_luenberger, make_rossler_observer
+from .observer import EeqObserver, ErrorBoundModel, make_luenberger, make_rossler_observer
 from .simloop import SimConfig
 
 PRESET_NAMES = ("example1a", "example1b", "example1c", "example2")
@@ -99,33 +99,31 @@ def _const_u(values):
     return lambda t, xhat: vec
 
 
-def _example1_observer(lam: float) -> tuple:
+def _example1_observer(lam: float) -> EeqObserver:
     bound = ErrorBoundModel.exponential(D=2.0, lam=lam)
-    obs = make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, LUENBERGER_GAIN, bound)
-    return obs, bound
+    return make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, LUENBERGER_GAIN, bound)
 
 
-def _adaptive0(n: int, N: int, epsilon: float, mu: float, omega: float, E: float) -> AdaptiveState:
+def _adaptive0(mu: float) -> AdaptiveState:
     return AdaptiveState(
-        theta_hat=np.zeros((N, n)),
-        theta_bar=np.full(N, 0.5),
-        epsilon=epsilon,
+        theta_hat=np.zeros((3, 3)),
+        theta_bar=np.full(3, 0.5),
+        epsilon=0.1,
         mu=mu,
-        omega=omega,
-        E=E,
+        E=0.1,
     )
 
 
 def make_preset(name: str) -> ExperimentPreset:
     """Build one of the named presets; raises ValueError on unknown names."""
     if name == "example1a":
-        obs, _ = _example1_observer(lam=-0.05)
+        obs = _example1_observer(lam=-0.05)
         barrier = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
         cfg = SimConfig(
             system=make_example1_system(),
             observer=obs,
             barrier=barrier,
-            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=3.5, omega=1.0, E=0.1),
+            adaptive0=_adaptive0(mu=3.5),
             x0=np.array([2.0, 2.2, 2.0]),
             xhat0=np.array([3.0, 3.5, 3.0]),
             u_nominal=_const_u([-2.0]),
@@ -133,7 +131,7 @@ def make_preset(name: str) -> ExperimentPreset:
         return ExperimentPreset(name=name, cfg=cfg)
 
     if name in ("example1b", "example1c"):
-        obs, _ = _example1_observer(lam=-0.05)
+        obs = _example1_observer(lam=-0.05)
         r = 2 if name == "example1b" else 3
         barrier = BarrierChain(
             s=EXAMPLE1_CHAIN_S[:r],
@@ -145,7 +143,7 @@ def make_preset(name: str) -> ExperimentPreset:
             system=make_example1_system(),
             observer=obs,
             barrier=barrier,
-            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=10.0, omega=1.0, E=0.1),
+            adaptive0=_adaptive0(mu=10.0),
             x0=np.array([2.4, -3.0, -3.0]),
             xhat0=np.array([3.4, -2.0, -2.0]),
             u_nominal=_const_u([-2.0]),
@@ -164,7 +162,7 @@ def make_preset(name: str) -> ExperimentPreset:
             system=make_rossler_system(*ROSSLER_PARAMS),
             observer=obs,
             barrier=barrier,
-            adaptive0=_adaptive0(n=3, N=3, epsilon=0.1, mu=2.5, omega=1.0, E=0.1),
+            adaptive0=_adaptive0(mu=2.5),
             x0=np.array([-0.5, 0.5, 3.0]),
             xhat0=np.array([0.2, 2.0, 3.0]),
             u_nominal=_const_u([-2.0, -2.0, -2.0]),

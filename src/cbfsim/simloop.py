@@ -16,6 +16,7 @@ true state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -51,8 +52,9 @@ class RunError(RuntimeError):
 @dataclass(frozen=True)
 class SimConfig:
     """One closed-loop run. Construction is the validation boundary: it
-    checks the scalars, caps t_end / dt at MAX_STEPS and evaluates every
-    callable once at the initial data, so that the loop calls them unchecked.
+    checks the scalars, caps t_end / dt at MAX_STEPS, keeps every basis
+    argument k omega t finite on [0, t_end] and evaluates every callable
+    once at the initial data, so that the loop calls them unchecked.
     """
 
     system: ControlAffineSystem
@@ -66,7 +68,6 @@ class SimConfig:
     dt: float = 1e-3
     controller: str = "proposed"
     baseline_gamma: float = 1.0
-    strict_feasibility: bool = False
     on_infeasible: str = "nominal"  # or "hold": keep the last feasible u
 
     def __post_init__(self) -> None:
@@ -83,6 +84,11 @@ class SimConfig:
         steps = self.t_end / self.dt
         if steps > MAX_STEPS:
             raise ValueError(f"t_end / dt asks for {steps:.6g} steps; at most {MAX_STEPS} are allowed")
+        top_frequency = self.adaptive0.terms[-1][1]
+        if not math.isfinite(top_frequency * max(self.t_end, 1.0)):
+            raise ValueError(
+                f"omega {self.adaptive0.omega:g} is too large: the top basis frequency "
+                "or its product with t_end overflows")
         x0 = np.asarray(self.x0, dtype=float)
         xhat0 = np.asarray(self.xhat0, dtype=float)
         n = self.system.n
@@ -168,17 +174,9 @@ def _epsilon_ok(bound: float, used: float) -> bool:
 def run_simulation(cfg: SimConfig) -> SimTrace:
     """Integrate one closed-loop run and return its trace.
 
-    Raises ValueError when strict_feasibility is set and the epsilon check
-    fails; raises RunError (carrying the last valid sample) if the state
-    leaves the finite range.
+    Raises RunError (carrying the last valid sample) if the state leaves the
+    finite range.
     """
-    if cfg.strict_feasibility:
-        bound = compute_epsilon_bound(cfg)
-        if not _epsilon_ok(bound, cfg.adaptive0.epsilon):
-            raise ValueError(
-                f"epsilon {cfg.adaptive0.epsilon} infeasible: bound is {bound:.6g}"
-            )
-
     sys_ = cfg.system
     drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map
     obs_rhs = cfg.observer.rhs

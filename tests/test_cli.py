@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import cbfsim
-from cbfsim import SimTrace, emit_csv, emit_plot, main, parse_config, run_preset, run_simulation, safety_report
-from cbfsim.cli import apply_overrides
+from cbfsim import SimTrace, emit_csv, emit_plot, main, run_preset, run_simulation, safety_report
+from cbfsim.cli import _parse_config_doc, apply_overrides
 from cbfsim.presets import ROSSLER_GAINS, ROSSLER_PARAMS, make_preset
 from cbfsim.simloop import compute_epsilon_bound
 
@@ -21,7 +21,9 @@ from cbfsim.simloop import compute_epsilon_bound
 
 
 def test_parse_config_passthrough():
-    cfg = parse_config('{"preset": "example1a"}')
+    name, overrides = _parse_config_doc('{"preset": "example1a"}')
+    assert name == "example1a" and overrides == {}
+    cfg = apply_overrides(make_preset(name).cfg, overrides)
     ref = make_preset("example1a").cfg
     assert cfg.dt == ref.dt == 1e-3
     assert cfg.t_end == ref.t_end == 10.0
@@ -29,22 +31,23 @@ def test_parse_config_passthrough():
     np.testing.assert_array_equal(cfg.x0, ref.x0)
 
 
-def test_parse_config_overrides_land_where_they_belong():
-    cfg = parse_config("""
-    {"preset": "example1a", "dt": 0.01, "t_end": 2.0, "epsilon": 0.05,
-     "mu": 4.0, "omega": 2.0, "E": 0.2, "x0": [1, 2, 3],
-     "u_d": [0.5], "strict_feasibility": false, "on_infeasible": "hold"}
-    """)
+def test_overrides_land_where_they_belong():
+    cfg = apply_overrides(make_preset("example1a").cfg, {
+        "dt": 0.01, "t_end": 2.0, "epsilon": 0.05, "mu": 4.0, "omega": 2.0, "E": 0.2,
+        "x0": [1, 2, 3], "u_d": [0.5], "on_infeasible": "hold"})
     assert cfg.dt == 0.01 and cfg.t_end == 2.0
     assert cfg.adaptive0.epsilon == 0.05 and cfg.adaptive0.mu == 4.0
     assert cfg.adaptive0.omega == 2.0 and cfg.adaptive0.E == 0.2
     np.testing.assert_array_equal(cfg.x0, [1.0, 2.0, 3.0])
     np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [0.5])
     assert cfg.on_infeasible == "hold"
+    # the strict gate is run_preset's alone; no SimConfig field carries it
+    with pytest.raises(ValueError, match="unknown config key 'strict_feasibility'"):
+        apply_overrides(cfg, {"strict_feasibility": True})
 
 
 def test_epsilon_override_flips_feasibility_verdict():
-    cfg = parse_config('{"preset": "example1a", "epsilon": 0.2, "t_end": 0}')
+    cfg = apply_overrides(make_preset("example1a").cfg, {"epsilon": 0.2, "t_end": 0})
     trace = run_simulation(cfg)
     report = safety_report(trace, cfg)
     assert report.epsilon_bound == pytest.approx(1.0 / 6.0, abs=1e-12)
@@ -70,14 +73,20 @@ def test_epsilon_override_flips_feasibility_verdict():
     ('[1, 2]', "JSON object"),
     ('{"dt": 0.1}', "'preset' key"),
 ])
-def test_config_rejections(doc, needle):
-    with pytest.raises(ValueError, match=re.escape(needle)):
-        parse_config(doc)
+def test_config_rejections(tmp_path, capsys, doc, needle):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(doc)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and needle in line
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_syntax_error_reports_position():
-    with pytest.raises(ValueError, match=r"config parse error at line 2, column"):
-        parse_config('{"preset": "example1a",\n  "dt": }')
+    with pytest.raises(ValueError, match=r"config parse error at line 2, column 9: Expecting value"):
+        _parse_config_doc('{"preset": "example1a",\n  "dt": }')
 
 
 def test_apply_overrides_no_changes_returns_same_config():
@@ -308,6 +317,28 @@ def test_run_preset_strict_rejects_1b(tmp_path, capsys):
     assert "strict feasibility check failed; not running" in out
 
 
+@pytest.mark.parametrize("doc,args,code", [
+    pytest.param('{"preset": "example1b", "strict_feasibility": true}', [], 2, id="config-true"),
+    pytest.param(None, ["--preset", "example1b", "--strict"], 2, id="flag"),
+    pytest.param('{"preset": "example1b", "strict_feasibility": false}', ["--t-end", "0.01"], 0,
+                 id="config-false"),
+])
+def test_strict_gate_at_the_cli(tmp_path, capsys, doc, args, code):
+    if doc is not None:
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(doc)
+        args = ["--config", str(cfg_path)] + args
+    out_dir = tmp_path / "out"
+    assert main(["run", *args, "--out", str(out_dir)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("warning: epsilon bound -1.53333 is non-positive")
+    if code == 2:
+        assert lines[1:] == ["strict feasibility check failed; not running"]
+        assert not out_dir.exists()
+    else:
+        assert (out_dir / "example1b_h.svg").exists()
+
+
 def test_run_preset_nonstrict_warns_but_runs(tmp_path, capsys):
     code = run_preset("example1b", {"t_end": 0.1}, out_dir=str(tmp_path))
     assert code == 0
@@ -353,8 +384,11 @@ def test_main_config_file_with_flag_precedence(tmp_path, capsys):
 def test_main_reports_config_syntax_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"preset": "example1a",\n  "dt": }')
-    assert main(["run", "--config", str(bad)]) == 1
-    assert "config parse error at line 2" in capsys.readouterr().err
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: config parse error at line 2, column 9: Expecting value"]
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
@@ -387,6 +421,21 @@ def test_range_and_enum_errors_come_from_the_constructors(tmp_path, capsys, over
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("t_end", ["0.01", "0"])
+def test_omega_that_overflows_the_basis_is_one_error_line(tmp_path, capsys, t_end):
+    # the top basis frequency 2 omega overflows to inf: cos(inf * t) raised
+    # mid-run for t_end > 0 and inf * 0 wrote NaN into the t_end = 0 row
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text('{"preset": "example1a", "omega": 1e308}')
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--t-end", t_end, "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        "error: omega 1e+308 is too large: the top basis frequency or its product with t_end overflows"]
+    assert captured.out == ""
+    assert not out_dir.exists()
 
 
 def test_cli_step_cap_is_one_error_line(tmp_path):

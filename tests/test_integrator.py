@@ -90,6 +90,11 @@ def test_time_grid_float_noise_absorbed():
     assert g[-1] == 1.0
 
 
+def test_time_grid_step_longer_than_the_span_lands_on_t_end():
+    # no whole step fits, so the remainder is the whole span, not noise
+    np.testing.assert_array_equal(time_grid(0.0, 10.0, 1e12), [0.0, 10.0])
+
+
 def test_nonfinite_rhs_raises_with_context():
     prob = OdeProblem(dim=1, rhs=lambda t, x: x * np.inf)
     with pytest.raises(IntegrationError) as exc:

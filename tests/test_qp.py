@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -174,6 +176,7 @@ def _tiny_qp_instances(draw):
 @settings(max_examples=300, deadline=None)
 @given(_tiny_qp_instances())
 @example((np.array([0.0]), np.array([1e-155]), -1.0))
+@example((np.array([0.0]), np.array([-1e-153]), -14.0))  # |u| ~ 1.4e154: u @ u overflows
 def test_projection_with_tiny_a_is_finite(instance):
     # u is always finite: either the KKT conditions hold, or the result is
     # infeasible with u = u_d. Stationarity is checked along a / max|a_i|,
@@ -190,8 +193,10 @@ def test_projection_with_tiny_a_is_finite(instance):
         np.testing.assert_array_equal(res.u, u_d)
         assert float(a @ u_d + b) >= 0.0
         return
-    # rounding u_d + a * step moves each u_i by up to an ulp of u_d_i or u_i
-    scale = 1.0 + abs(b) + float(np.linalg.norm(a)) * (float(np.linalg.norm(u_d)) + float(np.linalg.norm(res.u)))
+    # rounding u_d + a * step moves each u_i by up to an ulp of u_d_i or u_i;
+    # math.hypot takes the norms without squaring, so a finite u beyond
+    # 1e154 does not overflow them
+    scale = 1.0 + abs(b) + math.hypot(*a) * (math.hypot(*u_d) + math.hypot(*res.u))
     slack = float(a @ res.u + b)
     assert slack >= -1e-12 * scale
     unit = a / np.abs(a).max()

@@ -176,17 +176,6 @@ def test_chain_preset_has_no_control_authority(preset_runs):
     np.testing.assert_array_equal(run["proposed"].u, run["baseline"].u)
 
 
-def test_strict_feasibility_rejects_1b():
-    cfg = replace(make_preset("example1b").cfg, strict_feasibility=True)
-    with pytest.raises(ValueError, match="infeasible"):
-        run_simulation(cfg)
-
-
-def test_strict_feasibility_accepts_1a():
-    cfg = replace(_cfg_1a(), strict_feasibility=True, t_end=0.0)
-    run_simulation(cfg)  # must not raise
-
-
 def test_single_sample_run():
     cfg = replace(_cfg_1a(), t_end=0.0)
     prop, base = run_pair(cfg)
