@@ -90,6 +90,8 @@ def _parse_config_doc(text: str) -> tuple[str, dict]:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"config parse error at line {err.lineno}, column {err.colno}: {err.msg}") from err
+    except RecursionError as err:
+        raise ValueError("config parse error: the document nests too deeply") from err
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
     if "preset" not in doc:

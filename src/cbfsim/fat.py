@@ -73,9 +73,13 @@ class AdaptiveState:
             raise ValueError("omega must be > 0")
         if self.E < 0:
             raise ValueError("E must be >= 0")
+        with np.errstate(over="ignore"):
+            gain = -(tb ** 2) / (2.0 * self.epsilon)
+        if not np.isfinite(gain).all():
+            raise ValueError(f"the gain theta_bar^2 / (2 epsilon) overflows at epsilon {self.epsilon:g}")
         object.__setattr__(self, "theta_hat", th)
         object.__setattr__(self, "theta_bar", tb)
-        object.__setattr__(self, "gain", -(tb ** 2) / (2.0 * self.epsilon))
+        object.__setattr__(self, "gain", gain)
         object.__setattr__(self, "terms", _series_terms(th.shape[0], self.omega))
 
     @property

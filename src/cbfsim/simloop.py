@@ -260,6 +260,9 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                 a=np.dot(g, input_map(xhat)),
                 b=float(np.dot(g, drift(xhat)) + gamma * h_hat),
             )
+        if not math.isfinite(coeffs.b):
+            raise RunError(f"constraint row became non-finite at t={t:.6g}",
+                           _sample_dict(t, x, xhat, u_current))
         res = solve_halfspace_qp(u_d, coeffs)
         if res.feasible:
             u = res.u

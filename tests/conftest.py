@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from cbfsim import ConstraintCoeffs, make_preset, run_pair, safety_report, solve_halfspace_qp
-from cbfsim.presets import PRESET_NAMES
+from cbfsim import PRESET_NAMES, make_preset, run_pair, safety_report
+from cbfsim.barrier import ConstraintCoeffs
+from cbfsim.qp import solve_halfspace_qp
 from grid_oracle import grid_halfspace_min, random_halfspace_instances
 
 _ACCEPTANCE_LINES: list[str] = []

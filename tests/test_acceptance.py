@@ -8,13 +8,9 @@ import math
 
 import numpy as np
 
-from cbfsim import (
-    OdeProblem,
-    epsilon_bound_rdr,
-    integrate,
-    make_preset,
-    run_preset,
-)
+from cbfsim import OdeProblem, integrate, make_preset
+from cbfsim.barrier import epsilon_bound_rdr
+from cbfsim.cli import run_preset
 
 
 def test_criterion_01_example1a_reproduction(preset_runs, criterion):

@@ -3,17 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from cbfsim import (
-    AdaptiveState,
-    BarrierChain,
-    ConstraintCoeffs,
-    ErrorBoundModel,
-    constraint_rdr,
-    epsilon_bound_rdr,
-    fat_eval,
-    make_example1_system,
-)
-from cbfsim.dynamics import eval_drift, eval_input_matrix
+from cbfsim import AdaptiveState, BarrierChain, ErrorBoundModel
+from cbfsim.barrier import ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
+from cbfsim.dynamics import eval_drift, eval_input_matrix, make_example1_system
+from cbfsim.fat import fat_eval
 from cbfsim.presets import PRESET_NAMES, make_preset
 
 EXP_BOUND = ErrorBoundModel.exponential(D=2.0, lam=-0.05)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import cbfsim
-from cbfsim import SimTrace, emit_csv, emit_plot, main, run_preset, run_simulation, safety_report
-from cbfsim.cli import _parse_config_doc, apply_overrides
+from cbfsim import SimTrace, main, run_simulation, safety_report
+from cbfsim.cli import _parse_config_doc, apply_overrides, emit_csv, emit_plot, run_preset
 from cbfsim.presets import ROSSLER_GAINS, ROSSLER_PARAMS, make_preset
 from cbfsim.simloop import compute_epsilon_bound
 
@@ -308,15 +309,6 @@ def test_run_preset_writes_outputs(tmp_path, capsys):
     assert "wrote" in out
 
 
-def test_run_preset_strict_rejects_1b(tmp_path, capsys):
-    code = run_preset("example1b", {"strict_feasibility": True}, out_dir=str(tmp_path))
-    assert code == 2
-    assert not list(tmp_path.iterdir())
-    out = capsys.readouterr().out
-    assert "warning: epsilon bound -1.53333 is non-positive" in out
-    assert "strict feasibility check failed; not running" in out
-
-
 @pytest.mark.parametrize("doc,args,code", [
     pytest.param('{"preset": "example1b", "strict_feasibility": true}', [], 2, id="config-true"),
     pytest.param(None, ["--preset", "example1b", "--strict"], 2, id="flag"),
@@ -435,6 +427,29 @@ def test_omega_that_overflows_the_basis_is_one_error_line(tmp_path, capsys, t_en
     assert captured.err.splitlines() == [
         "error: omega 1e+308 is too large: the top basis frequency or its product with t_end overflows"]
     assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("doc,message", [
+    # deeper than the interpreter's recursion limit
+    pytest.param("[" * 200_000 + "]" * 200_000, "config parse error: the document nests too deeply",
+                 id="deep-nesting"),
+    # the baseline row's gamma * h_hat overflows to inf at t = 0
+    pytest.param('{"preset": "example1a", "baseline_gamma": 1e308}',
+                 "constraint row became non-finite at t=0", id="row-overflow"),
+    # the gain -theta_bar^2 / (2 epsilon) overflows to -inf
+    pytest.param('{"preset": "example1a", "epsilon": 1e-320}',
+                 "the gain theta_bar^2 / (2 epsilon) overflows at epsilon 9.99989e-321", id="gain-overflow"),
+])
+def test_overflowing_input_is_one_error_line(tmp_path, capsys, doc, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(doc)
+    out_dir = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out_dir.exists()
 
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from cbfsim import (
-    ControlAffineSystem,
+from cbfsim import ControlAffineSystem
+from cbfsim.dynamics import (
+    EXAMPLE1_A,
+    EXAMPLE1_B,
+    EXAMPLE1_C,
     eval_drift,
     eval_input_matrix,
     eval_output,
     make_example1_system,
     make_rossler_system,
 )
-from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C
 
 
 def test_example1_dimensions():

@@ -4,14 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbfsim import (
-    AdaptiveState,
-    OdeProblem,
-    adaptive_rhs,
-    basis_row,
-    fat_eval,
-    integrate,
-)
+from cbfsim import AdaptiveState, OdeProblem, integrate
+from cbfsim.fat import adaptive_rhs, basis_row, fat_eval
 
 
 def _state(theta_hat, theta_bar=None, epsilon=0.1, mu=3.5):

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cbfsim import IntegrationError, OdeProblem, integrate, rk4_step
+from cbfsim import OdeProblem, integrate
 from cbfsim.dynamics import EXAMPLE1_A
-from cbfsim.integrator import time_grid
+from cbfsim.integrator import IntegrationError, rk4_step, time_grid
 
 
 def test_zero_field_fixed_point():

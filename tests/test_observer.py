@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cbfsim import (
-    ErrorBoundModel,
-    OdeProblem,
-    integrate,
-    make_luenberger,
-    make_rossler_observer,
-)
+from cbfsim import ErrorBoundModel, OdeProblem, integrate
 from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C
+from cbfsim.observer import make_luenberger, make_rossler_observer
 from cbfsim.presets import LUENBERGER_GAIN, ROSSLER_PARAMS
 
 BOUND = ErrorBoundModel.constant(1.0)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cbfsim import ConstraintCoeffs, solve_halfspace_qp
+from cbfsim.barrier import ConstraintCoeffs
+from cbfsim.qp import solve_halfspace_qp
 
 
 def _c(a, b):

@@ -13,16 +13,15 @@ from cbfsim import (
     ErrorBoundModel,
     RunError,
     SimConfig,
-    emit_csv,
-    make_example1_system,
-    make_luenberger,
     make_preset,
     run_pair,
     run_simulation,
     safety_report,
 )
 from cbfsim import simloop
-from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C
+from cbfsim.cli import emit_csv
+from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, make_example1_system
+from cbfsim.observer import make_luenberger
 from cbfsim.presets import LUENBERGER_GAIN
 
 
