@@ -12,12 +12,15 @@ import argparse
 import json
 import math
 import os
+import pickle
+import signal
 import sys
 from dataclasses import replace
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
+from . import simloop
 from .presets import PRESET_NAMES, make_preset
 from .simloop import (
     RunError, SimConfig, SimTrace, _epsilon_ok, compute_epsilon_bound, run_pair, safety_report,
@@ -242,6 +245,67 @@ def _print_report(label: str, report, out) -> None:
     )
 
 
+def _run_pair(cfg: SimConfig) -> tuple[SimTrace, SimTrace]:
+    """run_pair, with the baseline run in a forked worker while this process
+    runs the proposed one; the two runs share nothing.
+
+    Without a step to take, without os.fork or when the fork fails, this is
+    run_pair itself. The library's run_pair stays sequential: a library call
+    must not fork behind its caller's threads. Raises the proposed run's
+    RunError first, as run_pair does, then the baseline's.
+    """
+    if cfg.t_end == 0 or not hasattr(os, "fork"):
+        return run_pair(cfg)
+    sys.stdout.flush()  # the worker inherits the buffers and must not repeat them
+    sys.stderr.flush()
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: run the pair here
+        os.close(read_fd)
+        os.close(write_fd)
+        return run_pair(cfg)
+    if pid == 0:
+        os.close(read_fd)
+        _baseline_worker(replace(cfg, controller="baseline"), write_fd)
+    try:
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            proposed = simloop.run_simulation(replace(cfg, controller="proposed"))
+            try:
+                baseline = pickle.load(pipe)  # written by _baseline_worker alone
+            except (EOFError, pickle.UnpicklingError):
+                baseline = None
+        status = os.waitpid(pid, 0)[1]
+    except BaseException:  # an error or Ctrl-C here: leave no worker behind
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    if baseline is None:
+        raise RunError("the baseline run ended without a result "
+                       f"(worker exit status {os.waitstatus_to_exitcode(status)})", {})
+    if not isinstance(baseline, SimTrace):
+        raise RunError(*baseline)
+    return proposed, baseline
+
+
+def _baseline_worker(cfg: SimConfig, write_fd: int) -> NoReturn:
+    """Run cfg and pipe back its trace, or its RunError as (message,
+    last_sample). Never writes to stdout or stderr; leaves only through
+    os._exit, so no buffer is flushed and no exit handler runs twice."""
+    code = 1
+    try:
+        try:
+            result = simloop.run_simulation(cfg)
+        except RunError as err:  # RunError does not unpickle: its args hold only the message
+            result = (str(err), err.last_sample)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
 def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out") -> int:
     """Run a preset's proposed/baseline pair and write traces and a plot.
 
@@ -265,7 +329,7 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
         print("strict feasibility check failed; not running", file=out)
         return 2
     try:
-        proposed, baseline = run_pair(cfg)
+        proposed, baseline = _run_pair(cfg)
     except RunError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

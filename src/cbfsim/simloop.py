@@ -98,7 +98,10 @@ class SimConfig:
             raise ValueError(f"adaptive0.theta_hat must have {n} columns")
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "xhat0", xhat0)
-        self._check_callables()
+        # only shapes are checked here; a value that overflows is the run's
+        # to report, as one RunError
+        with np.errstate(all="ignore"):
+            self._check_callables()
 
     def _check_callables(self) -> None:
         """ValueError unless f, g, l, u_nominal, the observer rhs and every
@@ -174,8 +177,8 @@ def _epsilon_ok(bound: float, used: float) -> bool:
 def run_simulation(cfg: SimConfig) -> SimTrace:
     """Integrate one closed-loop run and return its trace.
 
-    Raises RunError (carrying the last valid sample) if the state leaves the
-    finite range.
+    Raises RunError (carrying the last valid sample) if the state, the
+    constraint row or any recorded column leaves the finite range.
     """
     sys_ = cfg.system
     drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map
@@ -240,66 +243,79 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     eps = law.epsilon
     last_feasible_u: Optional[Vector] = None
 
-    for i in range(S):
-        t = times.item(i)
-        x = z[:n]
-        xhat = z[n:n2]
-        u_d = np.asarray(u_nominal(t, xhat), dtype=float)
-        M = float(bound_value(t))
-        # one evaluation of h and s_{r-1} at xhat serves the row and the trace
-        h_hat = float(base_h(xhat))
-        s_top = h_hat if top == 0 else float(top_s(xhat))
-        if proposed:
-            theta = z[n2:].reshape(N, n)
-            if t != row_t:
-                row_t, row = t, law_row(t)
-            coeffs = constraint_rdr(chain, sys_, xhat, s_top, law, theta, M, float(bound_derivative(t)), row)
-        else:
-            g = base_grad(xhat)
-            coeffs = ConstraintCoeffs(
-                a=np.dot(g, input_map(xhat)),
-                b=float(np.dot(g, drift(xhat)) + gamma * h_hat),
-            )
-        if not math.isfinite(coeffs.b):
-            raise RunError(f"constraint row became non-finite at t={t:.6g}",
-                           _sample_dict(t, x, xhat, u_current))
-        res = solve_halfspace_qp(u_d, coeffs)
-        if res.feasible:
-            u = res.u
-            last_feasible_u = u
-        elif hold and last_feasible_u is not None:
-            u = last_feasible_u
-        else:
-            u = u_d
-        u_current = u
+    # A value that overflows is caught below (the state in rk4_step, the
+    # row's b, every column at the end), not warned about step by step.
+    with np.errstate(all="ignore"):
+        for i in range(S):
+            t = times.item(i)
+            x = z[:n]
+            xhat = z[n:n2]
+            u_d = np.asarray(u_nominal(t, xhat), dtype=float)
+            M = float(bound_value(t))
+            # one evaluation of h and s_{r-1} at xhat serves the row and the trace
+            h_hat = float(base_h(xhat))
+            s_top = h_hat if top == 0 else float(top_s(xhat))
+            if proposed:
+                theta = z[n2:].reshape(N, n)
+                if t != row_t:
+                    row_t, row = t, law_row(t)
+                coeffs = constraint_rdr(chain, sys_, xhat, s_top, law, theta, M, float(bound_derivative(t)), row)
+            else:
+                g = base_grad(xhat)
+                coeffs = ConstraintCoeffs(
+                    a=np.dot(g, input_map(xhat)),
+                    b=float(np.dot(g, drift(xhat)) + gamma * h_hat),
+                )
+            if not math.isfinite(coeffs.b):
+                raise RunError(f"constraint row became non-finite at t={t:.6g}",
+                               _sample_dict(t, x, xhat, u_current))
+            res = solve_halfspace_qp(u_d, coeffs)
+            if res.feasible:
+                u = res.u
+                last_feasible_u = u
+            elif hold and last_feasible_u is not None:
+                u = last_feasible_u
+            else:
+                u = u_d
+            u_current = u
 
-        tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
-        tr_h[i] = base_h(x)
-        tr_h0[i] = h_hat - base_L * M
-        tr_eps[i] = s_top - L_top * M - eps
-        tr_res[i] = coeffs.residual(u)
-        tr_M[i] = M
-        if proposed:
-            # np.linalg.norm(theta, axis=1) without its dispatch, same bits
-            tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
-        tr_act[i] = res.active
-        tr_feas[i] = res.feasible
+            tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
+            tr_h[i] = base_h(x)
+            tr_h0[i] = h_hat - base_L * M
+            tr_eps[i] = s_top - L_top * M - eps
+            tr_res[i] = coeffs.residual(u)
+            tr_M[i] = M
+            if proposed:
+                # np.linalg.norm(theta, axis=1) without its dispatch, same bits
+                tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
+            tr_act[i] = res.active
+            tr_feas[i] = res.feasible
 
-        if i == S - 1:
-            break
-        try:
-            z = rk4_step(problem, t, z, times.item(i + 1) - t)
-        except IntegrationError as err:
-            raise RunError(
-                f"state became non-finite during the step starting at t={t:.6g}",
-                _sample_dict(t, x, xhat, u),
-            ) from err
+            if i == S - 1:
+                break
+            try:
+                z = rk4_step(problem, t, z, times.item(i + 1) - t)
+            except IntegrationError as err:
+                raise RunError(
+                    f"state became non-finite during the step starting at t={t:.6g}",
+                    _sample_dict(t, x, xhat, u),
+                ) from err
 
-    return SimTrace(
+    trace = SimTrace(
         t=times, x=tr_x, xhat=tr_xhat, u=tr_u, h_true=tr_h,
         h0=tr_h0, barrier_eps=tr_eps, residual=tr_res, M=tr_M,
         theta_norms=tr_th, qp_active=tr_act, qp_feasible=tr_feas,
     )
+    bad_row, bad_name = S, None
+    for name, col in trace.columns().items():
+        finite = np.isfinite(col)
+        if not finite.all() and finite.argmin() < bad_row:
+            bad_row, bad_name = int(finite.argmin()), name
+    if bad_name is not None:
+        t = times.item(bad_row)
+        raise RunError(f"column {bad_name} became non-finite at t={t:.6g}",
+                       _sample_dict(t, tr_x[bad_row], tr_xhat[bad_row], tr_u[bad_row]))
+    return trace
 
 
 def _sample_dict(t: float, x: Vector, xhat: Vector, u: Vector) -> dict:

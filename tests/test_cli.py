@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,8 +13,11 @@ import numpy as np
 import pytest
 
 import cbfsim
-from cbfsim import SimTrace, main, run_simulation, safety_report
-from cbfsim.cli import _parse_config_doc, apply_overrides, emit_csv, emit_plot, run_preset
+from cbfsim import PRESET_NAMES, RunError, SimTrace, main, run_pair, run_simulation, safety_report, simloop
+from cbfsim.cli import (
+    _parse_config_doc, _print_feasibility, _print_report, _run_pair, apply_overrides, emit_csv,
+    emit_plot, run_preset,
+)
 from cbfsim.presets import ROSSLER_GAINS, ROSSLER_PARAMS, make_preset
 from cbfsim.simloop import compute_epsilon_bound
 
@@ -440,6 +444,14 @@ def test_omega_that_overflows_the_basis_is_one_error_line(tmp_path, capsys, t_en
     # the gain -theta_bar^2 / (2 epsilon) overflows to -inf
     pytest.param('{"preset": "example1a", "epsilon": 1e-320}',
                  "the gain theta_bar^2 / (2 epsilon) overflows at epsilon 9.99989e-321", id="gain-overflow"),
+    # numpy's overflow warnings from SimConfig's callable check, the preset
+    # callables and rk4_step used to print before the error line
+    pytest.param('{"preset": "example1a", "E": 1e308}',
+                 "state became non-finite during the step starting at t=0", id="state-overflow-E"),
+    pytest.param('{"preset": "example1a", "x0": [1e308, 1.5, 1e308]}',
+                 "state became non-finite during the step starting at t=0", id="state-overflow-x0"),
+    pytest.param('{"preset": "example2", "u_d": [1e308, 0, 0]}',
+                 "state became non-finite during the step starting at t=0", id="state-overflow-u_d"),
 ])
 def test_overflowing_input_is_one_error_line(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "run.json"
@@ -447,7 +459,7 @@ def test_overflowing_input_is_one_error_line(tmp_path, capsys, doc, message):
     out_dir = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["run", "--config", str(cfg_path), "--out", str(out_dir)]) == 1
+        assert main(["run", "--config", str(cfg_path), "--t-end", "0.05", "--out", str(out_dir)]) == 1
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out_dir.exists()
@@ -504,3 +516,138 @@ def test_cli_unwritable_out_is_one_error_line(tmp_path, kind):
     assert len(errors) == 1 and errors[0].startswith("error: cannot write output: ")
     assert "Traceback" not in proc.stdout + proc.stderr
     assert blocker.read_text() == "not a directory"
+
+
+# ---------------------------------------------------------------- the baseline worker
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The os.fork calls made while a test runs, one entry each."""
+    calls = []
+    real_fork = os.fork
+
+    def counting_fork():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return calls
+
+
+def _replace_run(monkeypatch, controller, action):
+    """Make simloop.run_simulation call action(cfg) for one controller; a
+    forked worker inherits the patch."""
+    real = simloop.run_simulation
+    monkeypatch.setattr(simloop, "run_simulation",
+                        lambda cfg: action(cfg) if cfg.controller == controller else real(cfg))
+
+
+def _raise(message):
+    def action(cfg):
+        raise RunError(message, {"t": 0.25, "x": np.arange(3.0), "xhat": np.ones(3), "u": np.zeros(1)})
+    return action
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_worker_output_equals_the_in_process_pair(tmp_path, capsys, forks, name):
+    assert main(["run", "--preset", name, "--t-end", "0.3", "--out", str(tmp_path)]) == 0
+    stdout = capsys.readouterr().out
+    assert forks == [1]
+    cfg = apply_overrides(make_preset(name).cfg, {"t_end": 0.3})
+    proposed, baseline = run_pair(cfg)
+    assert (tmp_path / f"{name}_proposed.csv").read_bytes() == emit_csv(proposed).encode()
+    assert (tmp_path / f"{name}_baseline.csv").read_bytes() == emit_csv(baseline).encode()
+    svg = emit_plot([("proposed", proposed), ("baseline", baseline)], "h_true")
+    assert (tmp_path / f"{name}_h.svg").read_bytes() == svg.encode()
+    want = io.StringIO()
+    _print_feasibility(compute_epsilon_bound(cfg), cfg.adaptive0.epsilon, want)
+    _print_report("proposed", safety_report(proposed, cfg), want)
+    _print_report("baseline", safety_report(baseline, cfg), want)
+    files = ", ".join(str(tmp_path / f"{name}_{kind}") for kind in ("proposed.csv", "baseline.csv", "h.svg"))
+    assert stdout == want.getvalue() + f"wrote {files}\n"
+
+
+def test_worker_sends_back_the_baseline_run_error(tmp_path, capsys, monkeypatch, forks):
+    _replace_run(monkeypatch, "baseline", _raise("baseline diverged at t=0.25"))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--preset", "example1a", "--t-end", "0.3", "--out", str(out_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: baseline diverged at t=0.25"]
+    assert captured.out.splitlines() == ["epsilon feasibility: bound 0.166667, using 0.1 (ok)"]
+    assert not out_dir.exists()
+    with pytest.raises(RunError, match="baseline diverged") as exc:
+        _run_pair(apply_overrides(make_preset("example1a").cfg, {"t_end": 0.3}))
+    sample = exc.value.last_sample
+    assert sample["t"] == 0.25 and sample["x"].tolist() == [0.0, 1.0, 2.0]
+    assert forks == [1, 1]
+
+
+def _interrupt(cfg):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("proposed", [_raise("proposed diverged at t=0.25"), _interrupt],
+                         ids=["run-error", "ctrl-c"])
+def test_proposed_run_failure_kills_the_worker(tmp_path, capsys, monkeypatch, forks, proposed):
+    _replace_run(monkeypatch, "proposed", proposed)
+    _replace_run(monkeypatch, "baseline", lambda cfg: time.sleep(60))
+    argv = ["run", "--preset", "example1a", "--t-end", "0.3", "--out", str(tmp_path / "out")]
+    t0 = time.perf_counter()
+    if proposed is _interrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: proposed diverged at t=0.25"]
+    assert time.perf_counter() - t0 < 30  # the sleeping worker was killed, not awaited
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # reaped: no child is left
+    assert not (tmp_path / "out").exists()
+
+
+def test_worker_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch, forks):
+    _replace_run(monkeypatch, "baseline", lambda cfg: os._exit(3))
+    assert main(["run", "--preset", "example2", "--t-end", "0.3", "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: the baseline run ended without a result (worker exit status 3)"]
+    assert forks == [1]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_block_buffered_stdout_prints_each_line_once(tmp_path):
+    # stdout to a pipe is block-buffered: a line printed before the fork sits
+    # in the buffer the worker inherits, and must not be written twice
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cbfsim.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "cbfsim", "run", "--preset", "example2", "--t-end", "0.5", "--out", "out"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "epsilon feasibility: bound 0.333333, using 0.1 (ok)",
+        "proposed: min h_true 1.15199, min h0 0.660989, first violation none, bound violations 0, "
+        "infeasible steps 0",
+        "baseline: min h_true 0.192607, min h0 -0.308166, first violation none, bound violations 0, "
+        "infeasible steps 0",
+        "wrote out/example2_proposed.csv, out/example2_baseline.csv, out/example2_h.svg",
+    ]
+
+
+def test_a_run_without_a_step_forks_nothing(tmp_path, capsys, forks):
+    assert main(["run", "--preset", "example1a", "--t-end", "0", "--out", str(tmp_path)]) == 0
+    assert forks == []
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_a_failed_fork_runs_the_pair_in_process(monkeypatch):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = apply_overrides(make_preset("example2").cfg, {"t_end": 0.05})
+    got = _run_pair(cfg)
+    want = run_pair(cfg)
+    assert [emit_csv(trace) for trace in got] == [emit_csv(trace) for trace in want]

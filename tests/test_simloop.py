@@ -360,6 +360,17 @@ def test_per_row_work_stays_removed(monkeypatch, name):
         assert levels == ([2 * rows] if chain.r == 1 else [2 * rows] + [0] * (chain.r - 2) + [rows])
 
 
+def test_non_finite_column_is_run_error():
+    # the baseline row does not read M(t), so an error bound that overflows
+    # left the state finite and wrote -inf into h0 and inf into M
+    cfg = make_preset("example1a").cfg
+    observer = replace(cfg.observer, bound=ErrorBoundModel.exponential(2.0, -800.0))
+    with pytest.raises(RunError, match=r"^column h0 became non-finite at t=0\.89$") as exc:
+        run_simulation(replace(cfg, observer=observer, controller="baseline", t_end=1.0, dt=0.01))
+    assert exc.value.last_sample["t"] == pytest.approx(0.89)
+    assert np.all(np.isfinite(exc.value.last_sample["x"]))
+
+
 def test_cubic_observer_divergence_is_run_error():
     # at dt = 0.1 RK4 diverges on example2's cubic observer; e^3 beyond the
     # float range must become inf and end the run in RunError, not raise
