@@ -28,10 +28,10 @@ from .simloop import (
 
 Vector = np.ndarray
 
-# Override keys of apply_overrides (run_preset also takes "strict_feasibility").
-# Numbers: key -> the SimConfig field it lands in (None for SimConfig
-# itself). Values are only converted here; SimConfig and AdaptiveState
-# check their ranges and enums when they are rebuilt.
+# Override keys of apply_overrides. Numbers: key -> the SimConfig field it
+# lands in (None for SimConfig itself). Values are only converted here;
+# SimConfig and AdaptiveState check their ranges and enums when they are
+# rebuilt.
 _NUMBER_OVERRIDES = {
     "dt": None,
     "t_end": None,
@@ -87,8 +87,9 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     return replace(cfg, **changes) if changes else cfg
 
 
-def _parse_config_doc(text: str) -> tuple[str, dict]:
-    """JSON text -> (preset name, override map); run_preset checks both."""
+def _parse_config_doc(text: str) -> tuple[str, dict, bool]:
+    """JSON text -> (preset name, override map, strict flag); run_preset
+    checks the name and the overrides."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -99,7 +100,11 @@ def _parse_config_doc(text: str) -> tuple[str, dict]:
         raise ValueError("config root must be a JSON object")
     if "preset" not in doc:
         raise ValueError("config must contain a 'preset' key")
-    return doc["preset"], {k: v for k, v in doc.items() if k != "preset"}
+    overrides = {k: v for k, v in doc.items() if k != "preset"}
+    strict = overrides.pop("strict_feasibility", False)
+    if not isinstance(strict, bool):
+        raise ValueError("invalid value for 'strict_feasibility': expected a boolean")
+    return doc["preset"], overrides, strict
 
 
 # Rows are formatted and joined per block of this many, so that only one
@@ -284,21 +289,21 @@ def _run_pair(cfg: SimConfig) -> tuple[SimTrace, SimTrace]:
     if baseline is None:
         raise RunError("the baseline run ended without a result "
                        f"(worker exit status {os.waitstatus_to_exitcode(status)})", {})
-    if not isinstance(baseline, SimTrace):
-        raise RunError(*baseline)
+    if isinstance(baseline, RunError):
+        raise baseline
     return proposed, baseline
 
 
 def _baseline_worker(cfg: SimConfig, write_fd: int) -> NoReturn:
-    """Run cfg and pipe back its trace, or its RunError as (message,
-    last_sample). Never writes to stdout or stderr; leaves only through
-    os._exit, so no buffer is flushed and no exit handler runs twice."""
+    """Run cfg and pipe back its trace or its RunError. Never writes to
+    stdout or stderr; leaves only through os._exit, so no buffer is flushed
+    and no exit handler runs twice."""
     code = 1
     try:
         try:
             result = simloop.run_simulation(cfg)
-        except RunError as err:  # RunError does not unpickle: its args hold only the message
-            result = (str(err), err.last_sample)
+        except RunError as err:
+            result = err
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(result, pipe, protocol=pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -306,33 +311,21 @@ def _baseline_worker(cfg: SimConfig, write_fd: int) -> NoReturn:
         os._exit(code)
 
 
-def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out") -> int:
+def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out",
+               strict: bool = False) -> int:
     """Run a preset's proposed/baseline pair and write traces and a plot.
 
-    overrides may hold the CLI-only key "strict_feasibility" besides the
-    CONFIG_KEYS. Returns the process exit status: 0 on success, 2 when the
-    strict feasibility check rejects epsilon, 1 on any other error.
+    Returns the process exit status: 0 on success, 2 when strict is set and
+    the feasibility check rejects epsilon. Raises ValueError on a bad name,
+    key or value or an unwritable out_dir, and RunError on a failed run.
     """
     out = sys.stdout
-    overrides = dict(overrides or {})
-    strict = overrides.pop("strict_feasibility", False)
-    try:
-        cfg = apply_overrides(make_preset(name).cfg, overrides)
-        if not isinstance(strict, bool):
-            raise ValueError("invalid value for 'strict_feasibility': expected a boolean")
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-
+    cfg = apply_overrides(make_preset(name).cfg, overrides or {})
     ok = _print_feasibility(compute_epsilon_bound(cfg), cfg.adaptive0.epsilon, out)
     if strict and not ok:
         print("strict feasibility check failed; not running", file=out)
         return 2
-    try:
-        proposed, baseline = _run_pair(cfg)
-    except RunError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    proposed, baseline = _run_pair(cfg)
 
     paths = {
         "proposed": os.path.join(out_dir, f"{name}_proposed.csv"),
@@ -348,8 +341,7 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
         with open(paths["plot"], "w", newline="") as f:
             f.write(emit_plot([("proposed", proposed), ("baseline", baseline)], "h_true"))
     except OSError as err:
-        print(f"error: cannot write output: {err}", file=sys.stderr)
-        return 1
+        raise ValueError(f"cannot write output: {err}") from err
 
     _print_report("proposed", safety_report(proposed, cfg), out)
     _print_report("baseline", safety_report(baseline, cfg), out)
@@ -357,8 +349,38 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise, so that main reports them
+    as it reports every other failure; add_parser makes subparsers of the
+    same class."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
+    """The cbfsim entry point, and the one place where a failure becomes
+    exit status 1 and one "error: ..." line on stderr."""
+    try:
+        code = _run_command(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError as err:
+        # the reader closed stdout; the interpreter's final flush of the
+        # lines still buffered goes to os.devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        message = f"cannot write to stdout: {err}"
+    except (ValueError, RunError) as err:
+        message = str(err)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
+
+
+def _run_command(argv: Optional[list[str]]) -> int:
+    """Parse argv and run its command: run_preset's status, or a raise."""
+    parser = _ArgumentParser(
         prog="cbfsim",
         description="Observer-aware safety-filter simulations.",
     )
@@ -373,29 +395,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.preset and args.config:
-        print("error: pass either --preset or --config, not both", file=sys.stderr)
-        return 1
+        raise ValueError("pass either --preset or --config, not both")
     overrides: dict = {}
+    strict = False
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 text = f.read()
-            name, overrides = _parse_config_doc(text)
         except OSError as err:
-            print(f"error: cannot read config: {err}", file=sys.stderr)
-            return 1
-        except ValueError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
+            raise ValueError(f"cannot read config: {err}") from err
+        name, overrides, strict = _parse_config_doc(text)
     elif args.preset:
         name = args.preset
     else:
-        print("error: one of --preset or --config is required", file=sys.stderr)
-        return 1
+        raise ValueError("one of --preset or --config is required")
     if args.dt is not None:
         overrides["dt"] = args.dt
     if args.t_end is not None:
         overrides["t_end"] = args.t_end
-    if args.strict:
-        overrides["strict_feasibility"] = True
-    return run_preset(name, overrides, out_dir=args.out)
+    return run_preset(name, overrides, out_dir=args.out, strict=strict or args.strict)

@@ -48,6 +48,10 @@ class RunError(RuntimeError):
         super().__init__(message)
         self.last_sample = last_sample
 
+    def __reduce__(self):
+        # args holds only the message; pickle must carry the sample too
+        return type(self), (str(self), self.last_sample)
+
 
 @dataclass(frozen=True)
 class SimConfig:

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import json
 import os
 import re
 import subprocess
@@ -26,8 +27,8 @@ from cbfsim.simloop import compute_epsilon_bound
 
 
 def test_parse_config_passthrough():
-    name, overrides = _parse_config_doc('{"preset": "example1a"}')
-    assert name == "example1a" and overrides == {}
+    name, overrides, strict = _parse_config_doc('{"preset": "example1a"}')
+    assert name == "example1a" and overrides == {} and strict is False
     cfg = apply_overrides(make_preset(name).cfg, overrides)
     ref = make_preset("example1a").cfg
     assert cfg.dt == ref.dt == 1e-3
@@ -342,14 +343,14 @@ def test_run_preset_nonstrict_warns_but_runs(tmp_path, capsys):
     assert (tmp_path / "example1b_h.svg").exists()
 
 
-def test_run_preset_unknown_name(tmp_path, capsys):
-    assert run_preset("nope", out_dir=str(tmp_path)) == 1
-    assert "unknown preset" in capsys.readouterr().err
+def test_run_preset_unknown_name(tmp_path):
+    with pytest.raises(ValueError, match="unknown preset"):
+        run_preset("nope", out_dir=str(tmp_path))
 
 
-def test_run_preset_bad_override(tmp_path, capsys):
-    assert run_preset("example1a", {"bogus": 1}, out_dir=str(tmp_path)) == 1
-    assert "unknown config key" in capsys.readouterr().err
+def test_run_preset_bad_override(tmp_path):
+    with pytest.raises(ValueError, match="unknown config key"):
+        run_preset("example1a", {"bogus": 1}, out_dir=str(tmp_path))
 
 
 def test_main_flag_conflicts(tmp_path, capsys):
@@ -412,7 +413,9 @@ def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
     ({"E": -0.5}, "E must be >= 0"),
 ])
 def test_range_and_enum_errors_come_from_the_constructors(tmp_path, capsys, override, message):
-    assert run_preset("example1a", override, out_dir=str(tmp_path / "out")) == 1
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(dict(override, preset="example1a")))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {message}"]
     assert captured.out == ""
@@ -494,8 +497,7 @@ def test_feasibility_line_follows_the_epsilon_verdict(tmp_path, capsys, override
     # safety_report records as epsilon_ok
     cfg = apply_overrides(make_preset("example1a").cfg, dict(overrides, t_end=0))
     assert safety_report(run_simulation(cfg), cfg).epsilon_ok is ok
-    code = run_preset("example1a", dict(overrides, t_end=0, strict_feasibility=True),
-                      out_dir=str(tmp_path / "out"))
+    code = run_preset("example1a", dict(overrides, t_end=0), out_dir=str(tmp_path / "out"), strict=True)
     assert code == (0 if ok else 2)
     assert capsys.readouterr().out.splitlines()[0] == line
 
@@ -516,6 +518,52 @@ def test_cli_unwritable_out_is_one_error_line(tmp_path, kind):
     assert len(errors) == 1 and errors[0].startswith("error: cannot write output: ")
     assert "Traceback" not in proc.stdout + proc.stderr
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("args,unbuffered,lines_read,code", [
+    pytest.param(["run", "--dt", "abc"], True, None, 1, id="bad-flag-value"),
+    pytest.param(["run", "--bogus"], True, None, 1, id="unknown-flag"),
+    pytest.param([], True, None, 1, id="no-subcommand"),
+    pytest.param(["run", "--config", "missing.json"], True, None, 1, id="missing-config"),
+    pytest.param(["run", "--config", "strict.json"], True, None, 1, id="non-boolean-strict"),
+    pytest.param(["run", "-h"], True, None, 0, id="help"),
+    # the reader closes stdout at once: the first print fails, before any fork
+    pytest.param(["run", "--preset", "example1a", "--t-end", "0"], True, 0, 1, id="closed-stdout"),
+    # block-buffered, the write fails at main's final flush
+    pytest.param(["run", "--preset", "example1a", "--t-end", "0"], False, 0, 1,
+                 id="closed-stdout-buffered"),
+    # block-buffered, the write fails at the flush before the fork
+    pytest.param(["run", "--preset", "example1a", "--t-end", "0.5"], False, 0, 1,
+                 id="closed-stdout-buffered-fork"),
+    # the reader takes the first line and closes: a later write fails after
+    # the worker is reaped
+    pytest.param(["run", "--preset", "example2", "--t-end", "0.5"], True, 1, 1,
+                 id="stdout-closed-after-a-line"),
+    pytest.param(["run", "--preset", "example2", "--t-end", "0.5"], False, 1, 1,
+                 id="stdout-closed-after-a-line-buffered"),
+])
+def test_cli_exit_status_and_error_line(tmp_path, args, unbuffered, lines_read, code):
+    # lines_read: how many stdout lines the reader takes before it closes
+    # the pipe; None reads to the end
+    (tmp_path / "strict.json").write_text('{"preset": "example1a", "strict_feasibility": 1}')
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cbfsim.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen([sys.executable, "-m", "cbfsim", *args], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    if lines_read is not None:
+        for _ in range(lines_read):
+            proc.stdout.readline()
+        proc.stdout.close()
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == code
+    if code == 0:
+        assert out.startswith("usage: cbfsim run") and err == ""
+    else:
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+        assert "Traceback" not in (out or "") + err
 
 
 # ---------------------------------------------------------------- the baseline worker

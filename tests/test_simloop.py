@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -380,6 +381,14 @@ def test_cubic_observer_divergence_is_run_error():
         with pytest.raises(RunError) as exc:
             run_simulation(cfg)
     assert exc.value.last_sample["t"] == pytest.approx(7.5)
+
+
+def test_run_error_survives_pickling():
+    # the CLI's baseline worker pipes its RunError back pickled
+    err = RunError("state became non-finite at t=0.25", {"t": 0.25, "x": np.arange(3.0)})
+    back = pickle.loads(pickle.dumps(err, protocol=pickle.HIGHEST_PROTOCOL))
+    assert type(back) is RunError and str(back) == str(err)
+    assert back.last_sample["t"] == 0.25 and back.last_sample["x"].tolist() == [0.0, 1.0, 2.0]
 
 
 # sha256 of emit_csv for runs off the preset defaults: omega = 0.7, E = 0.3,
