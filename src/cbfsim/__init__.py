@@ -12,7 +12,6 @@ from .barrier import BarrierChain
 from .cli import main
 from .dynamics import ControlAffineSystem
 from .fat import AdaptiveState
-from .integrator import OdeProblem, integrate
 from .observer import EeqObserver, ErrorBoundModel
 from .presets import PRESET_NAMES, make_preset
 from .simloop import (
@@ -28,6 +27,4 @@ __all__ = [
     "SimConfig", "SimTrace", "SafetyReport", "RunError",
     # the blocks of a custom scenario
     "ControlAffineSystem", "EeqObserver", "ErrorBoundModel", "BarrierChain", "AdaptiveState",
-    # a fixed-step RK4 run of any ODE
-    "integrate", "OdeProblem",
 ]

@@ -360,7 +360,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def main(argv: Optional[list[str]] = None) -> int:
     """The cbfsim entry point, and the one place where a failure becomes
-    exit status 1 and one "error: ..." line on stderr."""
+    exit status 1 (130 for Ctrl-C) and one "error: ..." line on stderr."""
     try:
         code = _run_command(argv)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
@@ -374,6 +374,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = f"cannot write to stdout: {err}"
     except (ValueError, RunError) as err:
         message = str(err)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130  # what a shell reports for a process ended by SIGINT
     print(f"error: {message}", file=sys.stderr)
     return 1
 

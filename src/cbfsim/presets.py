@@ -152,11 +152,7 @@ def make_preset(name: str) -> ExperimentPreset:
 
     if name == "example2":
         bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
-        obs = make_rossler_observer(
-            ROSSLER_GAINS["q1"], ROSSLER_GAINS["s1"], ROSSLER_GAINS["r1"],
-            ROSSLER_GAINS["q2"], ROSSLER_GAINS["s2"], ROSSLER_GAINS["r2"],
-            ROSSLER_GAINS["m_exp"], ROSSLER_PARAMS, bound,
-        )
+        obs = make_rossler_observer(**ROSSLER_GAINS, params=ROSSLER_PARAMS, bound=bound)
         barrier = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
         cfg = SimConfig(
             system=make_rossler_system(*ROSSLER_PARAMS),

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -643,8 +644,8 @@ def test_proposed_run_failure_kills_the_worker(tmp_path, capsys, monkeypatch, fo
     argv = ["run", "--preset", "example1a", "--t-end", "0.3", "--out", str(tmp_path / "out")]
     t0 = time.perf_counter()
     if proposed is _interrupt:
-        with pytest.raises(KeyboardInterrupt):
-            main(argv)
+        assert main(argv) == 130
+        assert capsys.readouterr().err.splitlines() == ["error: interrupted"]
     else:
         assert main(argv) == 1
         assert capsys.readouterr().err.splitlines() == ["error: proposed diverged at t=0.25"]
@@ -653,6 +654,43 @@ def test_proposed_run_failure_kills_the_worker(tmp_path, capsys, monkeypatch, fo
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # reaped: no child is left
     assert not (tmp_path / "out").exists()
+
+
+def _processes_naming(marker: str) -> list[str]:
+    """Pids of the running processes whose command line contains marker."""
+    found = []
+    for pid in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                if marker.encode() in f.read():
+                    found.append(pid)
+        except OSError:  # the process ended while we looked
+            pass
+    return found
+
+
+def test_sigint_is_one_error_line_and_exit_130(tmp_path):
+    out_dir = tmp_path / "sigint-out"  # also marks this run's processes
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=str(Path(cbfsim.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbfsim", "run", "--preset", "example2", "--t-end", "60", "--out", str(out_dir)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path)
+    try:
+        assert proc.stdout.readline().startswith("epsilon feasibility: ")
+        time.sleep(0.2)  # the baseline worker is running by now
+        proc.send_signal(signal.SIGINT)  # this process only, not its worker
+        proc.wait(timeout=30)
+        # the worker shares the command line; look before a leaked one ends
+        left = _processes_naming(str(out_dir)) if os.path.isdir("/proc") else []
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert left == []
+    assert proc.returncode == 130
+    assert err.splitlines() == ["error: interrupted"]
+    assert "Traceback" not in out + err
+    assert not out_dir.exists()
 
 
 def test_worker_that_dies_is_one_error_line(tmp_path, capsys, monkeypatch, forks):

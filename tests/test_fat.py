@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cbfsim import AdaptiveState, OdeProblem, integrate
+from cbfsim import AdaptiveState
 from cbfsim.fat import adaptive_rhs, basis_row, fat_eval
+from cbfsim.integrator import OdeProblem, rk4_step, time_grid
 
 
 def _state(theta_hat, theta_bar=None, epsilon=0.1, mu=3.5):
@@ -95,7 +96,11 @@ def test_leak_decay_norm():
     def rhs(t, z):
         return adaptive_rhs(_state(z.reshape(2, 2), mu=mu), np.zeros(2), t).ravel()
 
-    out = integrate(OdeProblem(dim=4, rhs=rhs), 0.0, th0.ravel(), 1.0, 1e-3)
+    problem = OdeProblem(dim=4, rhs=rhs)
+    out = th0.ravel()
+    times = time_grid(1.0, 1e-3)
+    for t, t_next in zip(times[:-1], times[1:]):
+        out = rk4_step(problem, t, out, t_next - t)
     for i in range(2):
         want = np.linalg.norm(th0[i]) * math.exp(-mu)
         assert np.linalg.norm(out.reshape(2, 2)[i]) == pytest.approx(want, abs=1e-8)

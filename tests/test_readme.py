@@ -21,7 +21,6 @@ PUBLIC = [
     "make_preset", "PRESET_NAMES", "run_simulation", "run_pair", "safety_report", "main",
     "SimConfig", "SimTrace", "SafetyReport", "RunError",
     "ControlAffineSystem", "EeqObserver", "ErrorBoundModel", "BarrierChain", "AdaptiveState",
-    "integrate", "OdeProblem",
 ]
 
 

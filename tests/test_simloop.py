@@ -1,6 +1,7 @@
 import hashlib
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from cbfsim import (
 from cbfsim import simloop
 from cbfsim.cli import emit_csv
 from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, make_example1_system
+from cbfsim.integrator import time_grid
 from cbfsim.observer import make_luenberger
 from cbfsim.presets import LUENBERGER_GAIN
 
@@ -264,9 +266,14 @@ def test_blowup_raises_run_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RunError) as exc:
             run_simulation(replace(cfg, system=unstable, t_end=1.0))
+    match = re.match(r"^state became non-finite during the step starting at t=(\S+)$", str(exc.value))
+    assert match, str(exc.value)
     sample = exc.value.last_sample
     assert set(sample) == {"t", "x", "xhat", "u"}
     assert 0.0 <= sample["t"] < 1.0
+    # the sample is the state at the start of the failed step, a grid point
+    assert sample["t"] in time_grid(1.0, cfg.dt)[:-1]
+    assert match.group(1) == f"{sample['t']:.6g}"
     assert np.all(np.isfinite(sample["x"]))
 
 
