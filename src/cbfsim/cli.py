@@ -325,27 +325,23 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
     if strict and not ok:
         print("strict feasibility check failed; not running", file=out)
         return 2
-    proposed, baseline = _run_pair(cfg)
+    traces = list(zip(("proposed", "baseline"), _run_pair(cfg)))
 
-    paths = {
-        "proposed": os.path.join(out_dir, f"{name}_proposed.csv"),
-        "baseline": os.path.join(out_dir, f"{name}_baseline.csv"),
-        "plot": os.path.join(out_dir, f"{name}_h.svg"),
-    }
+    paths = [os.path.join(out_dir, f"{name}_{label}.csv") for label, _ in traces]
+    plot_path = os.path.join(out_dir, f"{name}_h.svg")
     try:
         os.makedirs(out_dir, exist_ok=True)
-        with open(paths["proposed"], "w", newline="") as f:
-            f.write(emit_csv(proposed))
-        with open(paths["baseline"], "w", newline="") as f:
-            f.write(emit_csv(baseline))
-        with open(paths["plot"], "w", newline="") as f:
-            f.write(emit_plot([("proposed", proposed), ("baseline", baseline)], "h_true"))
+        for path, (_, trace) in zip(paths, traces):  # one CSV string held at a time
+            with open(path, "w", newline="") as f:
+                f.write(emit_csv(trace))
+        with open(plot_path, "w", newline="") as f:
+            f.write(emit_plot(traces, "h_true"))
     except OSError as err:
         raise ValueError(f"cannot write output: {err}") from err
 
-    _print_report("proposed", safety_report(proposed, cfg), out)
-    _print_report("baseline", safety_report(baseline, cfg), out)
-    print(f"wrote {paths['proposed']}, {paths['baseline']}, {paths['plot']}", file=out)
+    for label, trace in traces:
+        _print_report(label, safety_report(trace, cfg), out)
+    print(f"wrote {', '.join(paths + [plot_path])}", file=out)
     return 0
 
 

@@ -6,12 +6,12 @@ step (zero-order hold) by solving the halfspace QP on the barrier row, so
 the run is a sampled-data approximation of the continuous statement; the
 adaptive law integrates continuously inside the step.
 
-Two controllers share the loop. "proposed" assembles the observer-aware
-constraint (deflated barrier, series correction, margin terms) and adapts
-the parameter estimates. "baseline" uses the plain zeroing-CBF row
-grad_h . g u + grad_h . f + gamma h evaluated at the estimate, with the
-estimates frozen; the filter one would write when trusting xhat as the
-true state.
+A controller is one CONTROLLERS entry: a row function over the loop's
+per-step values, and whether it adapts the estimates. Every run carries
+the estimates; one that does not adapt leaves them as they started.
+"proposed" adapts and assembles the observer-aware constraint (deflated
+barrier, series correction, margin terms). "baseline" uses the zeroing-CBF
+row grad_h . g u + grad_h . f + gamma h at the estimate, as if xhat were x.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ constraint_rd1, epsilon_bound_rd1 = constraint_rdr, epsilon_bound_rdr
 
 Vector = np.ndarray
 
-CONTROLLERS = ("proposed", "baseline")
 INFEASIBLE_MODES = ("nominal", "hold")
 MAX_STEPS = 10**7  # largest t_end / dt a run may allocate traces for
 
@@ -79,8 +78,12 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
+        if not math.isfinite(self.dt):
+            raise ValueError("dt must be finite")
+        if not math.isfinite(self.t_end):
+            raise ValueError("t_end must be finite")
         if self.controller not in CONTROLLERS:
-            raise ValueError(f"controller must be one of {CONTROLLERS}")
+            raise ValueError(f"controller must be one of {tuple(CONTROLLERS)}")
         if self.on_infeasible not in INFEASIBLE_MODES:
             raise ValueError("on_infeasible must be 'nominal' or 'hold'")
         if not self.baseline_gamma > 0:
@@ -178,6 +181,25 @@ def _epsilon_ok(bound: float, used: float) -> bool:
     return bound > 0 and used <= bound + 1e-12
 
 
+def _proposed_row(cfg: SimConfig, xhat: Vector, h_hat: float, s_top: float,
+                  theta: np.ndarray, M: float, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
+    """The observer-aware row on the top chain level: constraint_rdr."""
+    dM = float(cfg.observer.bound.derivative(t))
+    return constraint_rdr(cfg.barrier, cfg.system, xhat, s_top, cfg.adaptive0, theta, M, dM, phis)
+
+
+def _baseline_row(cfg: SimConfig, xhat: Vector, h_hat: float, s_top: float,
+                  theta: np.ndarray, M: float, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
+    """The zeroing-CBF row on h at the estimate: grad_h . g u + grad_h . f + gamma h."""
+    g = cfg.barrier.grad_s[0](xhat)
+    return ConstraintCoeffs(a=np.dot(g, cfg.system.input_map(xhat)),
+                            b=float(np.dot(g, cfg.system.drift(xhat)) + cfg.baseline_gamma * h_hat))
+
+
+# name -> (row function, adapts theta_hat); phis is the basis row, None if not adapting
+CONTROLLERS = {"proposed": (_proposed_row, True), "baseline": (_baseline_row, False)}
+
+
 def run_simulation(cfg: SimConfig) -> SimTrace:
     """Integrate one closed-loop run and return its trace.
 
@@ -187,61 +209,50 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     sys_ = cfg.system
     drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map
     obs_rhs = cfg.observer.rhs
-    bound_value, bound_derivative = cfg.observer.bound.value, cfg.observer.bound.derivative
+    bound_value = cfg.observer.bound.value
     law = cfg.adaptive0
     n, m, N = sys_.n, sys_.m, law.N
     n2 = 2 * n
     chain = cfg.barrier
     top = chain.r - 1
-    # Level 0 is the barrier h itself (true safety, deflated h0, baseline
-    # row); the top level carries the input (proposed row, adaptation).
-    base_h, base_grad, base_L = chain.s[0], chain.grad_s[0], chain.L_k[0]
+    # Level 0 is the barrier h itself (true safety, deflated h0); the top
+    # level carries the input (barrier_eps, adaptation).
+    base_h, base_L = chain.s[0], chain.L_k[0]
     top_s, grad_fn, L_top = chain.s[top], chain.grad_s[top], chain.L_k[top]
-    proposed = cfg.controller == "proposed"
+    row_fn, adapts = CONTROLLERS[cfg.controller]
     times = time_grid(cfg.t_end, cfg.dt)
     S = times.shape[0]
     tr_x = np.empty((S, n)); tr_xhat = np.empty((S, n)); tr_u = np.empty((S, m))
     tr_h = np.empty(S); tr_h0 = np.empty(S); tr_eps = np.empty(S)
     tr_res = np.empty(S); tr_M = np.empty(S); tr_th = np.empty((S, N))
     tr_act = np.empty(S, dtype=bool); tr_feas = np.empty(S, dtype=bool)
+    tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)  # overwritten per row while adapting
 
     u_current = np.zeros(m)  # held control, rebound each step
+    # z = (x, xhat, theta_hat). The basis row is reused while the stage time
+    # repeats: the loop's row at t serves RK4 stage 1, and stages 2 and 3
+    # share t + dt/2.
+    law_rhs, law_row = law.rhs, law.basis_row
+    row_t, row = None, None
+    z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
+    # rhs values start as copies of zeros (cheaper than empty_like): theta_hat's
+    # rate stays 0 unless the controller adapts, and RK4 carries it exactly
+    zeros = np.zeros_like(z)
 
-    if proposed:
-        # z = (x, xhat, theta_hat); the basis row is reused while the stage
-        # time repeats: the loop's row at t serves RK4 stage 1, and stages 2
-        # and 3 share t + dt/2.
-        law_rhs, law_row = law.rhs, law.basis_row
-        row_t, row = None, None
-
-        def rhs(t: float, z: Vector) -> Vector:
-            nonlocal row_t, row
-            x = z[:n]
-            xhat = z[n:n2]
+    def rhs(t: float, z: Vector) -> Vector:
+        nonlocal row_t, row
+        x = z[:n]
+        xhat = z[n:n2]
+        dz = zeros.copy()
+        dz[:n] = drift(x) + np.dot(input_map(x), u_current)
+        dz[n:n2] = obs_rhs(xhat, output_map(x), u_current, t)
+        if adapts:
             if t != row_t:
                 row_t, row = t, law_row(t)
-            dz = np.empty_like(z)
-            dz[:n] = drift(x) + np.dot(input_map(x), u_current)
-            dz[n:n2] = obs_rhs(xhat, output_map(x), u_current, t)
             dz[n2:] = law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), row).ravel()
-            return dz
-
-        z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
-    else:
-        # z = (x, xhat): theta_hat is frozen, so its RK4 update would be an
-        # exact zero.
-        def rhs(t: float, z: Vector) -> Vector:
-            x = z[:n]
-            dz = np.empty_like(z)
-            dz[:n] = drift(x) + np.dot(input_map(x), u_current)
-            dz[n:] = obs_rhs(z[n:], output_map(x), u_current, t)
-            return dz
-
-        z = np.concatenate([cfg.x0, cfg.xhat0])
-        tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
+        return dz
 
     problem = OdeProblem(dim=z.shape[0], rhs=rhs)
-    gamma = cfg.baseline_gamma
     hold = cfg.on_infeasible == "hold"
     u_nominal = cfg.u_nominal
     eps = law.epsilon
@@ -259,17 +270,13 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             # one evaluation of h and s_{r-1} at xhat serves the row and the trace
             h_hat = float(base_h(xhat))
             s_top = h_hat if top == 0 else float(top_s(xhat))
-            if proposed:
-                theta = z[n2:].reshape(N, n)
+            theta = z[n2:].reshape(N, n)
+            if adapts:
                 if t != row_t:
                     row_t, row = t, law_row(t)
-                coeffs = constraint_rdr(chain, sys_, xhat, s_top, law, theta, M, float(bound_derivative(t)), row)
-            else:
-                g = base_grad(xhat)
-                coeffs = ConstraintCoeffs(
-                    a=np.dot(g, input_map(xhat)),
-                    b=float(np.dot(g, drift(xhat)) + gamma * h_hat),
-                )
+                # np.linalg.norm(theta, axis=1) without its dispatch, same bits
+                tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
+            coeffs = row_fn(cfg, xhat, h_hat, s_top, theta, M, t, row)
             if not math.isfinite(coeffs.b):
                 raise RunError(f"constraint row became non-finite at t={t:.6g}",
                                _sample_dict(t, x, xhat, u_current))
@@ -289,9 +296,6 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             tr_eps[i] = s_top - L_top * M - eps
             tr_res[i] = coeffs.residual(u)
             tr_M[i] = M
-            if proposed:
-                # np.linalg.norm(theta, axis=1) without its dispatch, same bits
-                tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
             tr_act[i] = res.active
             tr_feas[i] = res.feasible
 

@@ -42,6 +42,10 @@ def test_config_validation():
         replace(cfg, dt=0.0)
     with pytest.raises(ValueError):
         replace(cfg, t_end=-1.0)
+    with pytest.raises(ValueError, match="^dt must be finite$"):
+        replace(cfg, dt=math.inf)
+    with pytest.raises(ValueError, match="^t_end must be finite$"):
+        replace(cfg, t_end=math.nan)
     with pytest.raises(ValueError):
         replace(cfg, baseline_gamma=0.0)
     with pytest.raises(ValueError):
@@ -156,6 +160,13 @@ def test_epsilon_bounds_reported(preset_runs):
 def test_baseline_adaptation_frozen(preset_runs):
     for name, run in preset_runs.items():
         assert np.all(run["baseline"].theta_norms == 0.0), name
+    # a nonzero theta_hat0 is carried bit-exactly by a controller that does not adapt
+    for name in ("example1a", "example2"):
+        cfg = make_preset(name).cfg
+        law = replace(cfg.adaptive0, theta_hat=THETA0_OFF_DEFAULT)
+        trace = run_simulation(replace(cfg, adaptive0=law, controller="baseline", t_end=0.3))
+        norms0 = np.linalg.norm(THETA0_OFF_DEFAULT, axis=1)
+        assert all(np.array_equal(row, norms0) for row in trace.theta_norms), name
 
 
 def test_baseline_violates_on_1a(preset_runs):
@@ -336,8 +347,11 @@ def test_per_row_work_stays_removed(monkeypatch, name):
     # chain level is evaluated at xhat at most once per row: s_0 at x
     # (h_true) and at xhat (h0, the baseline row), the top level at xhat
     # (barrier_eps, the proposed row) and the middle levels never; on the
-    # r = 1 barrier s_0 is the top level and serves both at xhat
-    counts = {"value": 0, "derivative": 0, "adaptive_state": 0}
+    # r = 1 barrier s_0 is the top level and serves both at xhat. The basis
+    # row is taken once per distinct stage time on proposed rows (t, then
+    # t + dt/2 shared by stages 2 and 3, with t + dt reused by the next row)
+    # and never on baseline rows
+    counts = {"value": 0, "derivative": 0, "adaptive_state": 0, "basis_row": 0}
     cfg = make_preset(name).cfg
     chain = cfg.barrier
     levels = [0] * chain.r
@@ -358,13 +372,21 @@ def test_per_row_work_stays_removed(monkeypatch, name):
         post_init(self)
 
     monkeypatch.setattr(AdaptiveState, "__post_init__", counting_post_init)
-    for controller, derivative_per_row in (("proposed", 1), ("baseline", 0)):
+    basis_row = AdaptiveState.basis_row
+
+    def counting_basis_row(self, t):
+        counts["basis_row"] += 1
+        return basis_row(self, t)
+
+    monkeypatch.setattr(AdaptiveState, "basis_row", counting_basis_row)
+    for controller, proposed in (("proposed", True), ("baseline", False)):
         run_cfg = replace(cfg, controller=controller)
-        counts.update(value=0, derivative=0, adaptive_state=0)
+        counts.update(value=0, derivative=0, adaptive_state=0, basis_row=0)
         levels[:] = [0] * chain.r
         rows = len(run_simulation(run_cfg))
         assert rows == 51
-        assert counts == {"value": rows, "derivative": derivative_per_row * rows, "adaptive_state": 0}
+        assert counts == {"value": rows, "derivative": rows if proposed else 0, "adaptive_state": 0,
+                          "basis_row": 2 * rows - 1 if proposed else 0}
         assert levels == ([2 * rows] if chain.r == 1 else [2 * rows] + [0] * (chain.r - 2) + [rows])
 
 
