@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControlAffineSystem, check_shape
+from .dynamics import ControlAffineSystem
 from .fat import AdaptiveState
 from .observer import ErrorBoundModel
 
@@ -38,16 +38,15 @@ Vector = np.ndarray
 class BarrierChain:
     """Lifted chain s_0..s_{r-1} for a barrier of relative degree r = len(s).
 
-    lam holds the r-1 chain roots lambda_1..lambda_{r-1} (the final root is
-    absorbed by the constraint's mu). L_k holds one Lipschitz constant per
-    level; each must dominate ||grad_s_k|| on the operating region (the
-    presets use exact values for their linear levels). Chains are supplied
-    explicitly, hand-derived; nothing symbolic.
+    L_k holds one Lipschitz constant per level; each must dominate
+    ||grad_s_k|| on the operating region (the presets use exact values for
+    their linear levels). Chains are supplied explicitly, hand-derived with
+    the roots lambda_k folded in; nothing symbolic. r = 1 is the plain
+    barrier, BarrierChain(s=(h,), grad_s=(grad_h,), L_k=(L,)).
     """
 
     s: Sequence[Callable[[Vector], float]]
     grad_s: Sequence[Callable[[Vector], Vector]]
-    lam: Sequence[float]
     L_k: Sequence[float]
 
     def __post_init__(self) -> None:
@@ -55,12 +54,8 @@ class BarrierChain:
             raise ValueError("s must have at least one level")
         if len(self.grad_s) != self.r:
             raise ValueError("grad_s must have one entry per level of s")
-        if len(self.lam) != self.r - 1:
-            raise ValueError("lam must have r - 1 entries")
         if len(self.L_k) != self.r:
             raise ValueError("L_k must have r entries")
-        if any(not l > 0 for l in self.lam):
-            raise ValueError("all lambda_k must be > 0")
         if any(not l > 0 for l in self.L_k):
             raise ValueError("all L_k must be > 0")
 
@@ -68,23 +63,6 @@ class BarrierChain:
     def r(self) -> int:
         """Relative degree of the chain: its number of levels."""
         return len(self.s)
-
-    @classmethod
-    def rd1(
-        cls,
-        h: Callable[[Vector], float],
-        grad_h: Callable[[Vector], Vector],
-        L: float,
-    ) -> "BarrierChain":
-        """The relative-degree-1 barrier h with gradient grad_h and Lipschitz constant L."""
-        return cls(s=(h,), grad_s=(grad_h,), lam=(), L_k=(L,))
-
-    def check_at(self, x: Vector) -> None:
-        """Evaluate every s_k and grad_s_k once at x, raising ValueError
-        unless s_k is a scalar and grad_s_k has x's length."""
-        for k in range(self.r):
-            check_shape(f"s_{k}", self.s[k](x), ())
-            check_shape(f"grad_s_{k}", self.grad_s[k](x), (len(x),))
 
 
 @dataclass(frozen=True)

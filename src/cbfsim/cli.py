@@ -22,9 +22,7 @@ import numpy as np
 
 from . import simloop
 from .presets import PRESET_NAMES, make_preset
-from .simloop import (
-    RunError, SimConfig, SimTrace, _epsilon_ok, compute_epsilon_bound, run_pair, safety_report,
-)
+from .simloop import RunError, SimConfig, SimTrace, run_pair, safety_report
 
 Vector = np.ndarray
 
@@ -224,9 +222,9 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _print_feasibility(bound: float, used: float, out) -> bool:
-    """Print the epsilon verdict of simloop._epsilon_ok; return it."""
-    ok = _epsilon_ok(bound, used)
+def _print_feasibility(cfg: SimConfig, out) -> bool:
+    """Print cfg's epsilon verdict, cfg.epsilon_ok; return it."""
+    ok, bound, used = cfg.epsilon_ok, cfg.epsilon_bound, cfg.adaptive0.epsilon
     if ok:
         print(f"epsilon feasibility: bound {bound:.6g}, using {used:g} (ok)", file=out)
     elif not bound > 0:
@@ -321,7 +319,7 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
     """
     out = sys.stdout
     cfg = apply_overrides(make_preset(name).cfg, overrides or {})
-    ok = _print_feasibility(compute_epsilon_bound(cfg), cfg.adaptive0.epsilon, out)
+    ok = _print_feasibility(cfg, out)
     if strict and not ok:
         print("strict feasibility check failed; not running", file=out)
         return 2

@@ -50,6 +50,8 @@ def check_shape(name: str, value, shape: tuple) -> np.ndarray:
     return value
 
 
+# The checked evaluators below are kept only because bench/tracer.py rebinds
+# them (as simloop and barrier names); no run calls them.
 def _check_state(sys: ControlAffineSystem, x: Vector) -> Vector:
     x = np.asarray(x, dtype=float)
     if x.shape != (sys.n,):
@@ -70,14 +72,6 @@ def eval_input_matrix(sys: ControlAffineSystem, x: Vector) -> Matrix:
 def eval_output(sys: ControlAffineSystem, x: Vector) -> Vector:
     """l(x), shaped (k,)."""
     return check_shape("output map", sys.output_map(_check_state(sys, x)), (sys.k,))
-
-
-def check_callables(sys: ControlAffineSystem, x: Vector) -> Vector:
-    """Evaluate f, g and l once at x, raising ValueError on a wrong shape;
-    returns l(x)."""
-    eval_drift(sys, x)
-    eval_input_matrix(sys, x)
-    return eval_output(sys, x)
 
 
 def make_example1_system() -> ControlAffineSystem:

@@ -81,7 +81,6 @@ EXAMPLE1_CHAIN_GRAD = (
     lambda x: _GRAD_S1,
     lambda x: _GRAD_S2,
 )
-EXAMPLE1_CHAIN_LAM = (2.0, 2.0)
 EXAMPLE1_CHAIN_L = (1.0, 3.0, math.sqrt(21.0))
 
 ROSSLER_PARAMS = (0.2, 0.2, 5.0)
@@ -118,7 +117,7 @@ def make_preset(name: str) -> ExperimentPreset:
     """Build one of the named presets; raises ValueError on unknown names."""
     if name == "example1a":
         obs = _example1_observer(lam=-0.05)
-        barrier = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
+        barrier = BarrierChain(s=(lambda x: x[1] - 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,))
         cfg = SimConfig(
             system=make_example1_system(),
             observer=obs,
@@ -133,12 +132,8 @@ def make_preset(name: str) -> ExperimentPreset:
     if name in ("example1b", "example1c"):
         obs = _example1_observer(lam=-0.05)
         r = 2 if name == "example1b" else 3
-        barrier = BarrierChain(
-            s=EXAMPLE1_CHAIN_S[:r],
-            grad_s=EXAMPLE1_CHAIN_GRAD[:r],
-            lam=EXAMPLE1_CHAIN_LAM[:r - 1],
-            L_k=EXAMPLE1_CHAIN_L[:r],
-        )
+        barrier = BarrierChain(s=EXAMPLE1_CHAIN_S[:r], grad_s=EXAMPLE1_CHAIN_GRAD[:r],
+                               L_k=EXAMPLE1_CHAIN_L[:r])
         cfg = SimConfig(
             system=make_example1_system(),
             observer=obs,
@@ -153,7 +148,7 @@ def make_preset(name: str) -> ExperimentPreset:
     if name == "example2":
         bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
         obs = make_rossler_observer(**ROSSLER_GAINS, params=ROSSLER_PARAMS, bound=bound)
-        barrier = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: _GRAD_X2, L=1.0)
+        barrier = BarrierChain(s=(lambda x: x[1] + 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,))
         cfg = SimConfig(
             system=make_rossler_system(*ROSSLER_PARAMS),
             observer=obs,

@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .barrier import BarrierChain, ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
-from .dynamics import ControlAffineSystem, check_callables, check_shape
+from .dynamics import ControlAffineSystem, check_shape
 from .fat import AdaptiveState
 from .integrator import OdeProblem, rk4_step, time_grid
 from .observer import EeqObserver
@@ -57,7 +58,8 @@ class SimConfig:
     """One closed-loop run. Construction is the validation boundary: it
     checks the scalars, caps t_end / dt at MAX_STEPS, keeps every basis
     argument k omega t finite on [0, t_end] and evaluates every callable
-    once at the initial data, so that the loop calls them unchecked.
+    once at the initial data, so that the loop calls them unchecked. The
+    epsilon bound at the initial data is derived once, on first use.
     """
 
     system: ControlAffineSystem
@@ -101,6 +103,8 @@ class SimConfig:
         n = self.system.n
         if x0.shape != (n,) or xhat0.shape != (n,):
             raise ValueError(f"x0 and xhat0 must have shape ({n},)")
+        if not (np.isfinite(x0).all() and np.isfinite(xhat0).all()):
+            raise ValueError("x0 and xhat0 must be finite")
         if self.adaptive0.theta_hat.shape[1] != n:
             raise ValueError(f"adaptive0.theta_hat must have {n} columns")
         object.__setattr__(self, "x0", x0)
@@ -113,10 +117,27 @@ class SimConfig:
     def _check_callables(self) -> None:
         """ValueError unless f, g, l, u_nominal, the observer rhs and every
         s_k and grad_s_k return the shapes the loop relies on."""
-        y0 = check_callables(self.system, self.x0)
-        u0 = check_shape("u_nominal", self.u_nominal(0.0, self.xhat0), (self.system.m,))
-        check_shape("observer rhs", self.observer.rhs(self.xhat0, y0, u0, 0.0), (self.system.n,))
-        self.barrier.check_at(self.xhat0)
+        sys_, x0, xhat0 = self.system, self.x0, self.xhat0
+        n = sys_.n
+        check_shape("drift", sys_.drift(x0), (n,))
+        check_shape("input map", sys_.input_map(x0), (n, sys_.m))
+        y0 = check_shape("output map", sys_.output_map(x0), (sys_.k,))
+        u0 = check_shape("u_nominal", self.u_nominal(0.0, xhat0), (sys_.m,))
+        check_shape("observer rhs", self.observer.rhs(xhat0, y0, u0, 0.0), (n,))
+        for k, (s, grad_s) in enumerate(zip(self.barrier.s, self.barrier.grad_s)):
+            check_shape(f"s_{k}", s(xhat0), ())
+            check_shape(f"grad_s_{k}", grad_s(xhat0), (n,))
+
+    @cached_property
+    def epsilon_bound(self) -> float:
+        """Largest epsilon the initial data admit, epsilon_bound_rdr at xhat0;
+        non-positive when none is admissible."""
+        return epsilon_bound_rdr(self.barrier, self.xhat0, self.observer.bound, self.adaptive0)
+
+    @property
+    def epsilon_ok(self) -> bool:
+        """Whether the configured epsilon lies in (0, epsilon_bound]."""
+        return self.epsilon_bound > 0 and self.adaptive0.epsilon <= self.epsilon_bound + 1e-12
 
 
 @dataclass(frozen=True)
@@ -173,12 +194,8 @@ class SafetyReport:
 
 
 def compute_epsilon_bound(cfg: SimConfig) -> float:
-    """Feasibility bound for epsilon at the configured initial data."""
-    return epsilon_bound_rdr(cfg.barrier, cfg.xhat0, cfg.observer.bound, cfg.adaptive0)
-
-
-def _epsilon_ok(bound: float, used: float) -> bool:
-    return bound > 0 and used <= bound + 1e-12
+    """cfg.epsilon_bound; kept only because bench/child.py calls it."""
+    return cfg.epsilon_bound
 
 
 def _proposed_row(cfg: SimConfig, xhat: Vector, h_hat: float, s_top: float,
@@ -332,18 +349,17 @@ def safety_report(trace: SimTrace, cfg: SimConfig) -> SafetyReport:
     if len(trace) == 0:
         raise ValueError("trace is empty")
     viol = np.flatnonzero(trace.h_true < 0)
-    err_norm = np.linalg.norm(trace.xhat - trace.x, axis=1)
-    bound = compute_epsilon_bound(cfg)
-    used = cfg.adaptive0.epsilon
+    with np.errstate(over="ignore"):  # an error norm of inf still counts as > M
+        err_norm = np.linalg.norm(trace.xhat - trace.x, axis=1)
     return SafetyReport(
         min_h_true=float(trace.h_true.min()),
         min_h0=float(trace.h0.min()),
         first_violation_t=float(trace.t[viol[0]]) if viol.size else None,
         bound_violations=int(np.count_nonzero(err_norm > trace.M)),
         infeasible_steps=int(np.count_nonzero(~trace.qp_feasible)),
-        epsilon_bound=float(bound),
-        epsilon_used=float(used),
-        epsilon_ok=_epsilon_ok(bound, used),
+        epsilon_bound=float(cfg.epsilon_bound),
+        epsilon_used=float(cfg.adaptive0.epsilon),
+        epsilon_ok=cfg.epsilon_ok,
     )
 
 

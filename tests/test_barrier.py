@@ -12,13 +12,12 @@ from cbfsim.presets import PRESET_NAMES, make_preset
 EXP_BOUND = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
 ZERO_BOUND = ErrorBoundModel.constant(0.0)
 
-H_1A = BarrierChain.rd1(h=lambda x: x[1] - 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
-H_EX2 = BarrierChain.rd1(h=lambda x: x[1] + 1.0, grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0)
+H_1A = BarrierChain(s=(lambda x: x[1] - 1.0,), grad_s=(lambda x: np.array([0.0, 1.0, 0.0]),), L_k=(1.0,))
+H_EX2 = BarrierChain(s=(lambda x: x[1] + 1.0,), grad_s=(lambda x: np.array([0.0, 1.0, 0.0]),), L_k=(1.0,))
 
 CHAIN_1B = BarrierChain(
     s=(lambda x: x[0] - 1.0, lambda x: x[0] + 2.0 * x[1] - 2.0 * x[2] - 2.0),
     grad_s=(lambda x: np.array([1.0, 0.0, 0.0]), lambda x: np.array([1.0, 2.0, -2.0])),
-    lam=(2.0,),
     L_k=(1.0, 3.0),
 )
 
@@ -78,7 +77,8 @@ def test_chain_s_values():
 
 def test_chain_recursion_along_drift():
     # each level s_k must equal grad_s_{k-1} . f + lambda_k s_{k-1}
-    # pointwise on the linear plant
+    # pointwise on the linear plant, with the chain's roots lambda_k = 2
+    lam = (2.0, 2.0)
     sys_ = make_example1_system()
     rng = np.random.default_rng(4)
     for chain in (CHAIN_1B, CHAIN_1C):
@@ -86,7 +86,7 @@ def test_chain_recursion_along_drift():
             x = rng.normal(scale=3.0, size=3)
             for k in range(1, chain.r):
                 want = (chain.grad_s[k - 1](x) @ eval_drift(sys_, x)
-                        + chain.lam[k - 1] * chain.s[k - 1](x))
+                        + lam[k - 1] * chain.s[k - 1](x))
                 assert chain.s[k](x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
@@ -127,7 +127,7 @@ def test_epsilon_denominator_with_estimates():
         theta_hat=np.array([[0.3, 0.4], [0.0, 0.0]]),
         theta_bar=np.array([0.5, 2.0]),
     )
-    bar = BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.array([1.0, 0.0]), L=1.0)
+    bar = BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: np.array([1.0, 0.0]),), L_k=(1.0,))
     got = epsilon_bound_rdr(bar, np.array([10.0, 0.0]), ZERO_BOUND, st)
     assert got == pytest.approx(10.0 / 5.0, abs=1e-12)
 
@@ -147,9 +147,7 @@ def test_epsilon_bound_rdr_values():
 
 
 def test_epsilon_bound_rdr_degenerate_chain():
-    chain = BarrierChain(
-        s=H_1A.s, grad_s=H_1A.grad_s, lam=(), L_k=(1.0,),
-    )
+    chain = BarrierChain(s=H_1A.s, grad_s=H_1A.grad_s, L_k=(1.0,))
     st = _adaptive()
     a = epsilon_bound_rdr(chain, XHAT_1A, EXP_BOUND, st)
     b = epsilon_bound_rdr(H_1A, XHAT_1A, EXP_BOUND, st)
@@ -161,7 +159,6 @@ def test_epsilon_bound_rdr_uniform_levels():
     chain = BarrierChain(
         s=(lambda x: x[0], lambda x: x[0]),
         grad_s=(lambda x: np.array([1.0]), lambda x: np.array([1.0])),
-        lam=(1.0,),
         L_k=(1.0, 1.0),
     )
     st = _adaptive(n=1, N=4, theta_bar=np.full(4, 0.5))
@@ -204,11 +201,10 @@ def test_constraint_rd1_uncontrollable_direction():
 
 
 def test_constraint_rdr_matches_rd1_on_degenerate_chain():
-    # BarrierChain.rd1 is the r = 1 chain, and its row is the relative-degree-1
-    # formula a = grad_h . g, b = grad_h . f - L dM/dt - ||grad_h|| E
-    # + mu (h - L M - eps) - mu N eps (zero estimates: no series term).
+    # the r = 1 chain's row is the relative-degree-1 formula a = grad_h . g,
+    # b = grad_h . f - L dM/dt - ||grad_h|| E + mu (h - L M - eps) - mu N eps
+    # (zero estimates: no series term).
     h, grad_h = H_1A.s[0], H_1A.grad_s[0]
-    assert H_1A == BarrierChain(s=(h,), grad_s=(grad_h,), lam=(), L_k=(1.0,))
     sys_ = make_example1_system()
     st = _adaptive(E=0.1)
     t = 0.3
@@ -390,27 +386,13 @@ def test_preset_barrier_objects_match_module_constants():
 
 def test_chain_validation():
     with pytest.raises(ValueError):
-        BarrierChain(s=(), grad_s=(), lam=(), L_k=())
+        BarrierChain(s=(), grad_s=(), L_k=())
     with pytest.raises(ValueError):
-        BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: x,), lam=(1.0,), L_k=(1.0, 1.0))
+        BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: x,), L_k=(1.0, 1.0))
     with pytest.raises(ValueError):
-        BarrierChain(s=(lambda x: x[0],), grad_s=(), lam=(), L_k=(1.0,))
+        BarrierChain(s=(lambda x: x[0],), grad_s=(), L_k=(1.0,))
     with pytest.raises(ValueError):
-        BarrierChain(
-            s=(lambda x: x[0], lambda x: x[0]),
-            grad_s=(lambda x: x, lambda x: x),
-            lam=(1.0, 1.0),
-            L_k=(1.0, 1.0),
-        )
-    with pytest.raises(ValueError):
-        BarrierChain(
-            s=(lambda x: x[0], lambda x: x[0]),
-            grad_s=(lambda x: x, lambda x: x),
-            lam=(-1.0,),
-            L_k=(1.0, 1.0),
-        )
-    with pytest.raises(ValueError):
-        BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: x, L=0.0)
+        BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: x,), L_k=(0.0,))
 
 
 def test_constraint_coeffs_residual():

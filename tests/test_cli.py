@@ -21,7 +21,6 @@ from cbfsim.cli import (
     emit_plot, run_preset,
 )
 from cbfsim.presets import ROSSLER_GAINS, ROSSLER_PARAMS, make_preset
-from cbfsim.simloop import compute_epsilon_bound
 
 
 # ---------------------------------------------------------------- config
@@ -263,7 +262,7 @@ def test_preset_fidelity_example1b():
     assert cfg.adaptive0.mu == 10.0 and cfg.adaptive0.epsilon == 0.1
     assert cfg.adaptive0.E == 0.1 and cfg.adaptive0.omega == 1.0
     bar = cfg.barrier
-    assert bar.r == 2 and bar.lam == (2.0,) and bar.L_k == (1.0, 3.0)
+    assert bar.r == 2 and bar.L_k == (1.0, 3.0)
     assert bar.s[0](cfg.xhat0) == pytest.approx(2.4)
     assert bar.s[1](cfg.xhat0) == pytest.approx(1.4)
     np.testing.assert_array_equal(bar.grad_s[1](cfg.xhat0), [1.0, 2.0, -2.0])
@@ -277,14 +276,14 @@ def test_preset_fidelity_example1c():
     assert cfg.adaptive0.mu == 10.0 and cfg.adaptive0.epsilon == 0.1
     assert cfg.adaptive0.E == 0.1 and cfg.adaptive0.omega == 1.0
     bar = cfg.barrier
-    assert bar.r == 3 and bar.lam == (2.0, 2.0)
+    assert bar.r == 3
     assert bar.L_k == (1.0, 3.0, pytest.approx(np.sqrt(21.0), abs=1e-15))
     assert [bar.s[k](cfg.xhat0) for k in range(3)] == [
         pytest.approx(2.4), pytest.approx(1.4), pytest.approx(-11.4)]
     np.testing.assert_array_equal(bar.grad_s[2](cfg.xhat0), [-1.0, 4.0, -2.0])
     np.testing.assert_array_equal(bar.grad_s[2](cfg.xhat0) @ cfg.system.input_map(cfg.xhat0), [2.0])
     # the deflated top level s2 - sqrt(21) M(0) sets the (negative) epsilon bound
-    assert compute_epsilon_bound(cfg) == pytest.approx((-11.4 - 2.0 * np.sqrt(21.0)) / 3.0, abs=1e-12)
+    assert cfg.epsilon_bound == pytest.approx((-11.4 - 2.0 * np.sqrt(21.0)) / 3.0, abs=1e-12)
     np.testing.assert_array_equal(cfg.u_nominal(0.0, cfg.xhat0), [-2.0])
 
 
@@ -610,7 +609,7 @@ def test_worker_output_equals_the_in_process_pair(tmp_path, capsys, forks, name)
     svg = emit_plot([("proposed", proposed), ("baseline", baseline)], "h_true")
     assert (tmp_path / f"{name}_h.svg").read_bytes() == svg.encode()
     want = io.StringIO()
-    _print_feasibility(compute_epsilon_bound(cfg), cfg.adaptive0.epsilon, want)
+    _print_feasibility(cfg, want)
     _print_report("proposed", safety_report(proposed, cfg), want)
     _print_report("baseline", safety_report(baseline, cfg), want)
     files = ", ".join(str(tmp_path / f"{name}_{kind}") for kind in ("proposed.csv", "baseline.csv", "h.svg"))

@@ -21,7 +21,7 @@ from cbfsim import (
     safety_report,
 )
 from cbfsim import simloop
-from cbfsim.cli import emit_csv
+from cbfsim.cli import emit_csv, run_preset
 from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, make_example1_system
 from cbfsim.integrator import time_grid
 from cbfsim.observer import make_luenberger
@@ -52,6 +52,10 @@ def test_config_validation():
         replace(cfg, x0=np.zeros(2))
     with pytest.raises(ValueError):
         replace(cfg, xhat0=np.zeros(4))
+    with pytest.raises(ValueError, match="^x0 and xhat0 must be finite$"):
+        replace(cfg, x0=np.array([math.nan, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="^x0 and xhat0 must be finite$"):
+        replace(cfg, xhat0=np.array([math.inf, 1.0, 1.0]))
     with pytest.raises(ValueError):
         replace(cfg, observer=EeqObserver(
             rhs=lambda xh, y, u, t: np.zeros(2),
@@ -73,19 +77,21 @@ def _bad_callable(cfg: SimConfig, what: str) -> dict:
         return {"system": replace(sys_, output_map=lambda x: np.zeros(2))}
     if what == "observer rhs":
         return {"observer": replace(cfg.observer, rhs=lambda xh, y, u, t: np.zeros(2))}
-    if what == "s_0":
-        return {"barrier": BarrierChain.rd1(h=lambda x: x[:2], grad_h=chain.grad_s[0], L=1.0)}
-    if what == "grad_s_0":
-        return {"barrier": BarrierChain.rd1(h=chain.s[0], grad_h=lambda x: np.ones(2), L=1.0)}
+    if what.startswith("s_"):  # s_k for the chain's top level k
+        return {"barrier": replace(chain, s=(*chain.s[:-1], lambda x: x[:2]))}
+    if what.startswith("grad_s_"):
+        return {"barrier": replace(chain, grad_s=(*chain.grad_s[:-1], lambda x: np.ones(2)))}
     return {"u_nominal": lambda t, xh: np.zeros(2)}
 
 
 @pytest.mark.parametrize(
-    "what", ["drift", "input map", "output map", "observer rhs", "s_0", "grad_s_0", "u_nominal"])
+    "what", ["drift", "input map", "output map", "observer rhs", "s_0", "grad_s_0", "u_nominal",
+             "s_2", "grad_s_2"])
 def test_config_checks_callable_shapes_at_construction(what):
     # the loop calls these unchecked, so a wrong shape must fail when the
-    # config is built, naming the callable
-    cfg = _cfg_1a()
+    # config is built, naming the callable; s_2 and grad_s_2 are the top
+    # level of example1c's three-level chain
+    cfg = make_preset("example1c").cfg if what.endswith("_2") else _cfg_1a()
     with pytest.raises(ValueError, match=f"^{what} returned shape"):
         replace(cfg, **_bad_callable(cfg, what))
 
@@ -157,6 +163,37 @@ def test_epsilon_bounds_reported(preset_runs):
     assert not rp.epsilon_ok
 
 
+def test_epsilon_bound_is_evaluated_once_per_config(monkeypatch, tmp_path, capsys):
+    # run_preset prints the verdict and reports both runs from one config,
+    # so the bound is derived once; a replaced config derives its own
+    calls = []
+    bound_fn = simloop.epsilon_bound_rdr
+
+    def counted(*args):
+        calls.append(args)
+        return bound_fn(*args)
+
+    monkeypatch.setattr(simloop, "epsilon_bound_rdr", counted)
+    assert run_preset("example1c", {"t_end": 0.05}, out_dir=str(tmp_path)) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out.startswith("warning: epsilon bound ")
+
+    cfg = _cfg_1a()
+    assert cfg.epsilon_ok
+    wide = replace(cfg, adaptive0=replace(cfg.adaptive0, epsilon=2.0))
+    assert wide.epsilon_ok is False
+    assert wide.epsilon_bound == cfg.epsilon_bound
+
+
+def test_error_norm_overflow_counts_as_a_bound_violation():
+    # the squared error overflows to inf: no warning, and inf > M is one
+    # bound violation
+    cfg = replace(_cfg_1a(), x0=np.array([1e308, 1.5, 1e308]), t_end=0.0)
+    report = safety_report(run_simulation(cfg), cfg)
+    assert report.bound_violations == 1
+    assert report.min_h_true == 0.5
+
+
 def test_baseline_adaptation_frozen(preset_runs):
     for name, run in preset_runs.items():
         assert np.all(run["baseline"].theta_norms == 0.0), name
@@ -213,8 +250,8 @@ def test_perfect_information_matches_baseline():
     cfg = SimConfig(
         system=make_example1_system(),
         observer=obs,
-        barrier=BarrierChain.rd1(h=lambda x: x[1] - 1.0,
-                                 grad_h=lambda x: np.array([0.0, 1.0, 0.0]), L=1.0),
+        barrier=BarrierChain(s=(lambda x: x[1] - 1.0,),
+                             grad_s=(lambda x: np.array([0.0, 1.0, 0.0]),), L_k=(1.0,)),
         adaptive0=AdaptiveState(theta_hat=np.zeros((3, 3)),
                                 theta_bar=np.full(3, 0.5),
                                 epsilon=1e-9, mu=3.5),
@@ -245,7 +282,7 @@ def test_hold_mode_keeps_last_feasible_control():
     cfg = SimConfig(
         system=sys_,
         observer=obs,
-        barrier=BarrierChain.rd1(h=lambda x: x[0], grad_h=lambda x: np.ones(1), L=1.0),
+        barrier=BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: np.ones(1),), L_k=(1.0,)),
         adaptive0=AdaptiveState(theta_hat=np.zeros((1, 1)),
                                 theta_bar=np.array([1e-8]),
                                 epsilon=0.01, mu=3.0),

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from cbfsim import make_preset, run_simulation, safety_report
 from cbfsim.cli import apply_overrides
-from cbfsim.simloop import compute_epsilon_bound
 
 GUARANTEE_TOL = -1e-6
 T_END = 0.5
@@ -44,7 +43,7 @@ def test_admissible_runs_keep_the_true_state_safe(preset, polar, azimuth, radius
     e = m0 * radius * _unit(polar, azimuth)
     cfg = apply_overrides(cfg, {
         "x0": list(cfg.xhat0 - e),
-        "epsilon": eps_factor * compute_epsilon_bound(cfg),
+        "epsilon": eps_factor * cfg.epsilon_bound,
         "mu": mu_factor * cfg.adaptive0.mu,
         "on_infeasible": on_infeasible,
         "t_end": T_END,
