@@ -85,9 +85,9 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
     return replace(cfg, **changes) if changes else cfg
 
 
-def _parse_config_doc(text: str) -> tuple[str, dict, bool]:
-    """JSON text -> (preset name, override map, strict flag); run_preset
-    checks the name and the overrides."""
+def _parse_config_doc(text: str) -> tuple[str, dict]:
+    """JSON text -> (preset name, override map); run_preset checks the name
+    and the overrides."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -98,11 +98,7 @@ def _parse_config_doc(text: str) -> tuple[str, dict, bool]:
         raise ValueError("config root must be a JSON object")
     if "preset" not in doc:
         raise ValueError("config must contain a 'preset' key")
-    overrides = {k: v for k, v in doc.items() if k != "preset"}
-    strict = overrides.pop("strict_feasibility", False)
-    if not isinstance(strict, bool):
-        raise ValueError("invalid value for 'strict_feasibility': expected a boolean")
-    return doc["preset"], overrides, strict
+    return doc["preset"], {k: v for k, v in doc.items() if k != "preset"}
 
 
 # Rows are formatted and joined per block of this many, so that only one
@@ -394,14 +390,13 @@ def _run_command(argv: Optional[list[str]]) -> int:
     if args.preset and args.config:
         raise ValueError("pass either --preset or --config, not both")
     overrides: dict = {}
-    strict = False
     if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as f:
                 text = f.read()
         except OSError as err:
             raise ValueError(f"cannot read config: {err}") from err
-        name, overrides, strict = _parse_config_doc(text)
+        name, overrides = _parse_config_doc(text)
     elif args.preset:
         name = args.preset
     else:
@@ -410,4 +405,4 @@ def _run_command(argv: Optional[list[str]]) -> int:
         overrides["dt"] = args.dt
     if args.t_end is not None:
         overrides["t_end"] = args.t_end
-    return run_preset(name, overrides, out_dir=args.out, strict=strict or args.strict)
+    return run_preset(name, overrides, out_dir=args.out, strict=args.strict)

@@ -50,6 +50,13 @@ def check_shape(name: str, value, shape: tuple) -> np.ndarray:
     return value
 
 
+def check_finite(**values) -> None:
+    """ValueError naming the first value (scalar or array) that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+
+
 # The checked evaluators below are kept only because bench/tracer.py rebinds
 # them (as simloop and barrier names); no run calls them.
 def _check_state(sys: ControlAffineSystem, x: Vector) -> Vector:
@@ -84,21 +91,24 @@ def make_example1_system() -> ControlAffineSystem:
     )
 
 
+def rossler_field(a: float, b: float, c: float) -> Callable[[float, float, float], tuple]:
+    """The Rossler drift (-x2 - x3, x1 + a x2, b + x3 (x1 - c)) as a function
+    of three Python floats; the plant and its observer both evaluate it."""
+    a, b, c = float(a), float(b), float(c)
+
+    def field(x1: float, x2: float, x3: float) -> tuple:
+        return -x2 - x3, x1 + a * x2, b + x3 * (x1 - c)
+
+    return field
+
+
 def make_rossler_system(a: float, b: float, c: float) -> ControlAffineSystem:
-    """Rossler plant with identity input map and output x1.
-
-    Drift is [-x2 - x3, x1 + a x2, b + x3 (x1 - c)]; it takes x as a float
-    array and does the arithmetic on Python floats.
-    """
+    """Rossler plant with drift rossler_field, identity input map and output x1."""
+    field = rossler_field(a, b, c)
     eye = np.eye(3)
-
-    def drift(x: Vector) -> Vector:
-        x1, x2, x3 = x.tolist()
-        return np.array([-x2 - x3, x1 + a * x2, b + x3 * (x1 - c)])
-
     return ControlAffineSystem(
         n=3, m=3, k=1,
-        drift=drift,
+        drift=lambda x: np.array(field(*x.tolist())),
         input_map=lambda x: eye,
         output_map=lambda x: x[:1].copy(),
     )

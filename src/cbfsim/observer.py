@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .dynamics import ControlAffineSystem, check_finite, rossler_field
+
 Vector = np.ndarray
 Matrix = np.ndarray
 
@@ -41,6 +43,7 @@ class ErrorBoundModel:
         """
         if D < 0:
             raise ValueError("D must be >= 0")
+        check_finite(D=D, lam=lam)
         return ErrorBoundModel(
             value=lambda t: D * np.exp(-lam * t),
             derivative=lambda t: -lam * D * np.exp(-lam * t),
@@ -51,6 +54,7 @@ class ErrorBoundModel:
         """M(t) = beta. Covers bounds with no useful time structure."""
         if beta < 0:
             raise ValueError("beta must be >= 0")
+        check_finite(beta=beta)
         return ErrorBoundModel(value=lambda t: beta, derivative=lambda t: 0.0)
 
 
@@ -66,25 +70,16 @@ class EeqObserver:
     bound: ErrorBoundModel
 
 
-def make_luenberger(A: Matrix, B: Matrix, C: Matrix, gain: Matrix, bound: ErrorBoundModel) -> EeqObserver:
-    """dxhat/dt = A xhat + B u + gain (y - C xhat)."""
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
+def make_luenberger(system: ControlAffineSystem, gain: Matrix, bound: ErrorBoundModel) -> EeqObserver:
+    """dxhat/dt = f(xhat) + g(xhat) u + gain (y - l(xhat)) on the plant's own
+    f, g and l, so the observer's model is the plant's by construction."""
     gain = np.asarray(gain, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
-        raise ValueError("A must be square")
-    if B.ndim != 2 or B.shape[0] != n:
-        raise ValueError("B must be n x m")
-    k = C.shape[0]
-    if C.ndim != 2 or C.shape != (k, n):
-        raise ValueError("C must be k x n")
-    if gain.shape != (n, k):
+    if gain.shape != (system.n, system.k):
         raise ValueError("gain must be n x k")
+    drift, input_map, output_map = system.drift, system.input_map, system.output_map
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
-        return A.dot(xhat) + B.dot(u) + gain.dot(y - C.dot(xhat))
+        return drift(xhat) + np.dot(input_map(xhat), u) + gain.dot(y - output_map(xhat))
 
     return EeqObserver(rhs=rhs, bound=bound)
 
@@ -96,25 +91,23 @@ def make_rossler_observer(
     params: tuple[float, float, float],
     bound: ErrorBoundModel,
 ) -> EeqObserver:
-    """Copy of the Rossler drift at xhat, corrected by powers of (y - xhat1).
+    """The Rossler drift f = rossler_field(*params) at xhat, corrected by
+    powers of e = y - xhat1, plus the control applied componentwise:
 
-    Each state equation gets a linear and an m_exp-th power innovation term
-    with its own gain, plus the control applied componentwise:
+        dxhat1/dt = f1(xhat) + q1 e + q2 e^m + u1
+        dxhat2/dt = f2(xhat) + s1 e + s2 e^m + u2
+        dxhat3/dt = f3(xhat) + r1 e + r2 e^m + u3
 
-        dxhat1/dt = -xhat2 - xhat3        + q1 e + q2 e^m + u1
-        dxhat2/dt =  xhat1 + a xhat2      + s1 e + s2 e^m + u2
-        dxhat3/dt =  b + xhat3 (xhat1 - c) + r1 e + r2 e^m + u3
-
-    with e = y - xhat1. m_exp must be a positive odd integer so the
-    correction is sign-preserving. xhat, y and u are float arrays; the
-    arithmetic runs on Python floats.
+    m_exp must be a positive odd integer so the correction is
+    sign-preserving; the arithmetic runs on Python floats.
     """
     if m_exp < 1 or m_exp % 2 == 0:
         raise ValueError("m_exp must be a positive odd integer")
-    a, b, c = (float(v) for v in params)
+    field = rossler_field(*params)
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
         x1, x2, x3 = xhat.tolist()
+        f1, f2, f3 = field(x1, x2, x3)
         u1, u2, u3 = u.tolist()
         e = y.item(0) - x1
         try:
@@ -122,9 +115,9 @@ def make_rossler_observer(
         except OverflowError:  # a float power raises where numpy's gives inf
             em = math.copysign(math.inf, e)
         return np.array([
-            -x2 - x3 + q1 * e + q2 * em + u1,
-            x1 + a * x2 + s1 * e + s2 * em + u2,
-            b + x3 * (x1 - c) + r1 * e + r2 * em + u3,
+            f1 + q1 * e + q2 * em + u1,
+            f2 + s1 * e + s2 * em + u2,
+            f3 + r1 * e + r2 * em + u3,
         ])
 
     return EeqObserver(rhs=rhs, bound=bound)

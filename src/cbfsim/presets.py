@@ -30,18 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import BarrierChain
-from .dynamics import (
-    EXAMPLE1_A,
-    EXAMPLE1_B,
-    EXAMPLE1_C,
-    make_example1_system,
-    make_rossler_system,
-)
+from .dynamics import make_example1_system, make_rossler_system
 from .fat import AdaptiveState
-from .observer import EeqObserver, ErrorBoundModel, make_luenberger, make_rossler_observer
+from .observer import ErrorBoundModel, make_luenberger, make_rossler_observer
 from .simloop import SimConfig
-
-PRESET_NAMES = ("example1a", "example1b", "example1c", "example2")
 
 # Output-injection gain for the linear plant. Sign chosen so that
 # A - gain C is Hurwitz (eigenvalues -2.146 +/- 1.057i, -0.747); the
@@ -93,71 +85,54 @@ class ExperimentPreset:
     cfg: SimConfig
 
 
-def _const_u(values):
-    vec = np.asarray(values, dtype=float)
-    return lambda t, xhat: vec
+def _scenario(system, observer, barrier, mu, x0, xhat0, u_d) -> SimConfig:
+    """The run every preset shares: zero initial estimates theta_hat0 (3 x 3),
+    theta_bar = 0.5, epsilon = E = 0.1 and the constant nominal input u_d."""
+    u_d = np.array(u_d, dtype=float)
+    adaptive0 = AdaptiveState(theta_hat=np.zeros((3, 3)), theta_bar=np.full(3, 0.5),
+                              epsilon=0.1, mu=mu, E=0.1)
+    return SimConfig(system=system, observer=observer, barrier=barrier, adaptive0=adaptive0,
+                     x0=x0, xhat0=xhat0, u_nominal=lambda t, xhat: u_d)
 
 
-def _example1_observer(lam: float) -> EeqObserver:
-    bound = ErrorBoundModel.exponential(D=2.0, lam=lam)
-    return make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, LUENBERGER_GAIN, bound)
+def _example1(barrier: BarrierChain, mu: float, x0, xhat0) -> SimConfig:
+    """The linear plant, observed through its own model by the Luenberger gain."""
+    system = make_example1_system()
+    bound = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
+    observer = make_luenberger(system, LUENBERGER_GAIN, bound)
+    return _scenario(system, observer, barrier, mu, x0, xhat0, u_d=[-2.0])
 
 
-def _adaptive0(mu: float) -> AdaptiveState:
-    return AdaptiveState(
-        theta_hat=np.zeros((3, 3)),
-        theta_bar=np.full(3, 0.5),
-        epsilon=0.1,
-        mu=mu,
-        E=0.1,
-    )
+def _example1_lifted(r: int) -> SimConfig:
+    """example1b (r = 2) and example1c (r = 3): x1 >= 1 through r chain levels."""
+    barrier = BarrierChain(s=EXAMPLE1_CHAIN_S[:r], grad_s=EXAMPLE1_CHAIN_GRAD[:r],
+                           L_k=EXAMPLE1_CHAIN_L[:r])
+    return _example1(barrier, mu=10.0, x0=[2.4, -3.0, -3.0], xhat0=[3.4, -2.0, -2.0])
+
+
+def _example2() -> SimConfig:
+    system = make_rossler_system(*ROSSLER_PARAMS)
+    bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
+    observer = make_rossler_observer(**ROSSLER_GAINS, params=ROSSLER_PARAMS, bound=bound)
+    barrier = BarrierChain(s=(lambda x: x[1] + 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,))
+    return _scenario(system, observer, barrier, mu=2.5, x0=[-0.5, 0.5, 3.0],
+                     xhat0=[0.2, 2.0, 3.0], u_d=[-2.0, -2.0, -2.0])
+
+
+# name -> builder of its SimConfig
+_PRESETS = {
+    "example1a": lambda: _example1(
+        BarrierChain(s=(lambda x: x[1] - 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,)),
+        mu=3.5, x0=[2.0, 2.2, 2.0], xhat0=[3.0, 3.5, 3.0]),
+    "example1b": lambda: _example1_lifted(2),
+    "example1c": lambda: _example1_lifted(3),
+    "example2": _example2,
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def make_preset(name: str) -> ExperimentPreset:
     """Build one of the named presets; raises ValueError on unknown names."""
-    if name == "example1a":
-        obs = _example1_observer(lam=-0.05)
-        barrier = BarrierChain(s=(lambda x: x[1] - 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,))
-        cfg = SimConfig(
-            system=make_example1_system(),
-            observer=obs,
-            barrier=barrier,
-            adaptive0=_adaptive0(mu=3.5),
-            x0=np.array([2.0, 2.2, 2.0]),
-            xhat0=np.array([3.0, 3.5, 3.0]),
-            u_nominal=_const_u([-2.0]),
-        )
-        return ExperimentPreset(name=name, cfg=cfg)
-
-    if name in ("example1b", "example1c"):
-        obs = _example1_observer(lam=-0.05)
-        r = 2 if name == "example1b" else 3
-        barrier = BarrierChain(s=EXAMPLE1_CHAIN_S[:r], grad_s=EXAMPLE1_CHAIN_GRAD[:r],
-                               L_k=EXAMPLE1_CHAIN_L[:r])
-        cfg = SimConfig(
-            system=make_example1_system(),
-            observer=obs,
-            barrier=barrier,
-            adaptive0=_adaptive0(mu=10.0),
-            x0=np.array([2.4, -3.0, -3.0]),
-            xhat0=np.array([3.4, -2.0, -2.0]),
-            u_nominal=_const_u([-2.0]),
-        )
-        return ExperimentPreset(name=name, cfg=cfg)
-
-    if name == "example2":
-        bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
-        obs = make_rossler_observer(**ROSSLER_GAINS, params=ROSSLER_PARAMS, bound=bound)
-        barrier = BarrierChain(s=(lambda x: x[1] + 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,))
-        cfg = SimConfig(
-            system=make_rossler_system(*ROSSLER_PARAMS),
-            observer=obs,
-            barrier=barrier,
-            adaptive0=_adaptive0(mu=2.5),
-            x0=np.array([-0.5, 0.5, 3.0]),
-            xhat0=np.array([0.2, 2.0, 3.0]),
-            u_nominal=_const_u([-2.0, -2.0, -2.0]),
-        )
-        return ExperimentPreset(name=name, cfg=cfg)
-
-    raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    if name not in PRESET_NAMES:  # a tuple, so an unhashable name is unknown, not a TypeError
+        raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
+    return ExperimentPreset(name=name, cfg=_PRESETS[name]())

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .barrier import BarrierChain, ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
-from .dynamics import ControlAffineSystem, check_shape
+from .dynamics import ControlAffineSystem, check_finite, check_shape
 from .fat import AdaptiveState
 from .integrator import OdeProblem, rk4_step, time_grid
 from .observer import EeqObserver
@@ -80,10 +80,7 @@ class SimConfig:
             raise ValueError("dt must be > 0")
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
-        if not math.isfinite(self.dt):
-            raise ValueError("dt must be finite")
-        if not math.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+        check_finite(dt=self.dt, t_end=self.t_end, baseline_gamma=self.baseline_gamma)
         if self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {tuple(CONTROLLERS)}")
         if self.on_infeasible not in INFEASIBLE_MODES:

@@ -27,8 +27,8 @@ from cbfsim.presets import ROSSLER_GAINS, ROSSLER_PARAMS, make_preset
 
 
 def test_parse_config_passthrough():
-    name, overrides, strict = _parse_config_doc('{"preset": "example1a"}')
-    assert name == "example1a" and overrides == {} and strict is False
+    name, overrides = _parse_config_doc('{"preset": "example1a"}')
+    assert name == "example1a" and overrides == {}
     cfg = apply_overrides(make_preset(name).cfg, overrides)
     ref = make_preset("example1a").cfg
     assert cfg.dt == ref.dt == 1e-3
@@ -73,9 +73,10 @@ def test_epsilon_override_flips_feasibility_verdict():
     ('{"preset": "example1a", "bogus": 1}', "unknown config key 'bogus'"),
     ('{"preset": "example1a", "x0": [1, 2]}', "x0"),
     ('{"preset": "example1a", "u_d": 3}', "u_d"),
-    ('{"preset": "example1a", "strict_feasibility": 1}', "expected a boolean"),
+    ('{"preset": "example1a", "strict_feasibility": true}', "unknown config key 'strict_feasibility'"),
     ('{"preset": "example1a", "on_infeasible": "drop"}', "'nominal' or 'hold'"),
     ('{"preset": "nope"}', "unknown preset"),
+    ('{"preset": ["example1a"]}', "unknown preset"),  # unhashable: not a table key
     ('[1, 2]', "JSON object"),
     ('{"dt": 0.1}', "'preset' key"),
 ])
@@ -315,10 +316,13 @@ def test_run_preset_writes_outputs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("doc,args,code", [
-    pytest.param('{"preset": "example1b", "strict_feasibility": true}', [], 2, id="config-true"),
-    pytest.param(None, ["--preset", "example1b", "--strict"], 2, id="flag"),
-    pytest.param('{"preset": "example1b", "strict_feasibility": false}', ["--t-end", "0.01"], 0,
+    # --strict is the one switch: a config file cannot ask for the gate
+    pytest.param('{"preset": "example1b", "strict_feasibility": true}', [], 1, id="config-true"),
+    pytest.param('{"preset": "example1b", "strict_feasibility": false}', ["--t-end", "0.01"], 1,
                  id="config-false"),
+    pytest.param(None, ["--preset", "example1b", "--strict"], 2, id="flag"),
+    pytest.param('{"preset": "example1b"}', ["--strict"], 2, id="config-and-flag"),
+    pytest.param('{"preset": "example1b"}', ["--t-end", "0.01"], 0, id="config-without-flag"),
 ])
 def test_strict_gate_at_the_cli(tmp_path, capsys, doc, args, code):
     if doc is not None:
@@ -327,7 +331,13 @@ def test_strict_gate_at_the_cli(tmp_path, capsys, doc, args, code):
         args = ["--config", str(cfg_path)] + args
     out_dir = tmp_path / "out"
     assert main(["run", *args, "--out", str(out_dir)]) == code
-    lines = capsys.readouterr().out.splitlines()
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    if code == 1:
+        assert lines == []
+        assert captured.err == "error: unknown config key 'strict_feasibility'\n"
+        assert not out_dir.exists()
+        return
     assert lines[0].startswith("warning: epsilon bound -1.53333 is non-positive")
     if code == 2:
         assert lines[1:] == ["strict feasibility check failed; not running"]
@@ -525,6 +535,7 @@ def test_cli_unwritable_out_is_one_error_line(tmp_path, kind):
     pytest.param(["run", "--bogus"], True, None, 1, id="unknown-flag"),
     pytest.param([], True, None, 1, id="no-subcommand"),
     pytest.param(["run", "--config", "missing.json"], True, None, 1, id="missing-config"),
+    # strict_feasibility is no config key: --strict is the only switch
     pytest.param(["run", "--config", "strict.json"], True, None, 1, id="non-boolean-strict"),
     pytest.param(["run", "-h"], True, None, 0, id="help"),
     # the reader closes stdout at once: the first print fails, before any fork

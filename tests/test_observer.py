@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cbfsim import ErrorBoundModel
-from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C
+from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, ControlAffineSystem, make_example1_system
 from cbfsim.integrator import OdeProblem, rk4_step, time_grid
 from cbfsim.observer import make_luenberger, make_rossler_observer
-from cbfsim.presets import LUENBERGER_GAIN, ROSSLER_PARAMS
+from cbfsim.presets import LUENBERGER_GAIN, PRESET_NAMES, ROSSLER_PARAMS, make_preset
 
 BOUND = ErrorBoundModel.constant(1.0)
 
@@ -18,7 +18,7 @@ PRINTED_GAIN = np.array([[-2.23029], [0.190287], [0.232326]])
 
 
 def _luenberger(gain):
-    return make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, gain, BOUND)
+    return make_luenberger(make_example1_system(), gain, BOUND)
 
 
 def test_luenberger_zero_innovation_at_origin():
@@ -133,10 +133,8 @@ def test_rossler_observer_m_exp_validation():
 
 
 def test_luenberger_shape_validation():
-    with pytest.raises(ValueError):
-        make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, np.zeros((2, 1)), BOUND)
-    with pytest.raises(ValueError):
-        make_luenberger(np.zeros((2, 3)), EXAMPLE1_B, EXAMPLE1_C, np.zeros((3, 1)), BOUND)
+    with pytest.raises(ValueError, match="gain must be n x k"):
+        make_luenberger(make_example1_system(), np.zeros((2, 1)), BOUND)
 
 
 def test_observer_rhs_dimension_mismatch():
@@ -150,7 +148,7 @@ def test_estimation_error_within_bound_closed_loop():
     # Plant + observer under u = 0 from the preset initial conditions: the
     # error norm must stay under M(t) = 2 e^{0.05 t} over the whole horizon.
     bound = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
-    obs = make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, LUENBERGER_GAIN, bound)
+    obs = make_luenberger(make_example1_system(), LUENBERGER_GAIN, bound)
     u = np.zeros(1)
 
     def rhs(t, z):
@@ -169,3 +167,35 @@ def test_estimation_error_within_bound_closed_loop():
         z = rk4_step(problem, t, z, t_next - t)
         worst = max(worst, ratio(t_next, z))
     assert worst <= 1.0, f"bound exceeded, worst ratio {worst}"
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_observer_copies_its_plant(name):
+    # with no innovation (y = l(xhat)) the observer is the plant's own
+    # model, f(xhat) + g(xhat) u, bit for bit
+    cfg = make_preset(name).cfg
+    sys_ = cfg.system
+    rng = np.random.default_rng(18)
+    for _ in range(5):
+        xhat = rng.uniform(-5.0, 5.0, sys_.n)
+        u = rng.uniform(-3.0, 3.0, sys_.m)
+        t = float(rng.uniform(0.0, 10.0))
+        out = cfg.observer.rhs(xhat, sys_.output_map(xhat), u, t)
+        np.testing.assert_array_equal(out, sys_.drift(xhat) + sys_.input_map(xhat).dot(u))
+
+
+def test_luenberger_follows_the_plant_it_is_given():
+    # a plant with drift -x, input map [[1], [2]] and output x1 + x2: the
+    # observer is built from these callables, not from any preset's matrices
+    plant = ControlAffineSystem(
+        n=2, m=1, k=1,
+        drift=lambda x: -x,
+        input_map=lambda x: np.array([[1.0], [2.0]]),
+        output_map=lambda x: np.array([x[0] + x[1]]),
+    )
+    gain = np.array([[0.5], [-1.0]])
+    obs = make_luenberger(plant, gain, BOUND)
+    xhat, u = np.array([1.0, -3.0]), np.array([0.25])
+    np.testing.assert_array_equal(obs.rhs(xhat, np.array([-2.0]), u, 0.0), [-0.75, 3.5])
+    # an innovation y - l(xhat) = 1 adds the gain column
+    np.testing.assert_array_equal(obs.rhs(xhat, np.array([-1.0]), u, 0.0), [-0.25, 2.5])

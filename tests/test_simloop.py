@@ -22,7 +22,7 @@ from cbfsim import (
 )
 from cbfsim import simloop
 from cbfsim.cli import emit_csv, run_preset
-from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, make_example1_system
+from cbfsim.dynamics import make_example1_system
 from cbfsim.integrator import time_grid
 from cbfsim.observer import make_luenberger
 from cbfsim.presets import LUENBERGER_GAIN
@@ -64,6 +64,31 @@ def test_config_validation():
         replace(cfg, adaptive0=AdaptiveState(
             theta_hat=np.zeros((3, 2)), theta_bar=np.full(3, 0.5),
             epsilon=0.1, mu=3.5))
+
+
+def _law(**changes) -> AdaptiveState:
+    return replace(_cfg_1a().adaptive0, **changes)
+
+
+@pytest.mark.parametrize("name,build", [
+    ("E", lambda: _law(E=math.inf)),
+    ("E", lambda: _law(E=math.nan)),
+    ("mu", lambda: _law(mu=math.inf)),
+    ("epsilon", lambda: _law(epsilon=math.inf)),
+    ("omega", lambda: _law(omega=math.inf)),
+    ("theta_hat", lambda: _law(theta_hat=np.full((3, 3), math.nan))),
+    ("baseline_gamma", lambda: replace(_cfg_1a(), baseline_gamma=math.inf)),
+    ("D", lambda: ErrorBoundModel.exponential(D=math.inf, lam=-0.05)),
+    ("D", lambda: ErrorBoundModel.exponential(D=math.nan, lam=-0.05)),
+    ("lam", lambda: ErrorBoundModel.exponential(D=2.0, lam=-math.inf)),
+    ("beta", lambda: ErrorBoundModel.constant(math.nan)),
+], ids=["E-inf", "E-nan", "mu-inf", "epsilon-inf", "omega-inf", "theta_hat-nan", "baseline_gamma-inf",
+        "D-inf", "D-nan", "lam-inf", "beta-nan"])
+def test_constructors_reject_non_finite_scalars(name, build):
+    # each of these used to build, so the run failed at t = 0 with a
+    # non-finite constraint row: a config error reported as a run error
+    with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+        build()
 
 
 def _bad_callable(cfg: SimConfig, what: str) -> dict:
@@ -245,7 +270,7 @@ def test_perfect_information_matches_baseline():
     # epsilon -> 0 collapse the assembled row onto the plain zeroing row
     # with gamma = mu, so both filters compute the same control.
     bound = ErrorBoundModel.constant(0.0)
-    obs = make_luenberger(EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, LUENBERGER_GAIN, bound)
+    obs = make_luenberger(make_example1_system(), LUENBERGER_GAIN, bound)
     x0 = np.array([2.0, 2.2, 2.0])
     cfg = SimConfig(
         system=make_example1_system(),
