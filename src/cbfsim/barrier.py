@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dynamics import ControlAffineSystem
+from .dynamics import ControlAffineSystem, check_finite
 from .fat import AdaptiveState
 from .observer import ErrorBoundModel
 
@@ -58,6 +58,7 @@ class BarrierChain:
             raise ValueError("L_k must have r entries")
         if any(not l > 0 for l in self.L_k):
             raise ValueError("all L_k must be > 0")
+        check_finite(L_k=self.L_k)
 
     @property
     def r(self) -> int:
@@ -73,7 +74,7 @@ class ConstraintCoeffs:
     b: float
 
     def residual(self, u: Vector) -> float:
-        return float(np.dot(self.a, u) + self.b)
+        return float(self.a.dot(u) + self.b)
 
 
 def _epsilon_denominator(state0: AdaptiveState) -> float:
@@ -90,39 +91,36 @@ def epsilon_bound_rdr(
     feasible epsilon exists for this initial state; callers flag it rather
     than this function raising.
     """
-    xhat0 = np.asarray(xhat0, dtype=float)
     M0 = float(bound.value(0.0))
     worst = min(float(s(xhat0)) - L * M0 for s, L in zip(chain.s, chain.L_k))
     return worst / _epsilon_denominator(state0)
 
 
 def constraint_rdr(
-    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, s_top: float,
-    law: AdaptiveState, theta_hat: np.ndarray, M: float, dM: float, phis: Vector,
+    chain: BarrierChain, sys: ControlAffineSystem, xhat: Vector, h_eps: float,
+    law: AdaptiveState, theta_hat: np.ndarray, dM: float, phis: Vector,
 ) -> ConstraintCoeffs:
     """Constraint row on the top chain level s = s_{r-1} with constant L = L_{r-1}.
 
     a = grad_s . g.  b collects the drift and series terms along grad_s,
     the bound's drift -L dM/dt, the residual margin -||grad_s|| E, and the
     zeroing terms mu h_eps - mu N epsilon. The inputs are precomputed by the
-    caller: the top level's value s_top = s_{r-1}(xhat), the run's adaptive
-    law (mu, epsilon, N and the tail bound E), the current (N, n) estimates
-    theta_hat, the error bound M(t) and its derivative dM(t) and the basis
-    row phis = [phi_1(t), ..., phi_N(t)]. The plant and barrier callables
-    are called directly; SimConfig checks their shapes once.
+    caller: the deflated top level h_eps = s_{r-1}(xhat) - L M(t) - epsilon,
+    the run's adaptive law (mu, epsilon, N and the tail bound E), the
+    current (N, n) estimates theta_hat, the bound's derivative dM(t) and the
+    basis row phis = [phi_1(t), ..., phi_N(t)]. The plant and barrier
+    callables are called directly; SimConfig checks their float arrays once.
     """
     top = chain.r - 1
     L = chain.L_k[top]
     eps, mu = law.epsilon, law.mu
-    xhat = np.asarray(xhat, dtype=float)
-    grad = np.asarray(chain.grad_s[top](xhat), dtype=float)
-    a = np.dot(grad, sys.input_map(xhat))
-    deflated = s_top - L * M - eps
+    grad = chain.grad_s[top](xhat)
+    a = grad.dot(sys.input_map(xhat))
     b = (
         grad.dot(sys.drift(xhat) + phis.dot(theta_hat))
         - L * dM
         - math.sqrt(grad.dot(grad)) * law.E
-        + mu * deflated
+        + mu * h_eps
         - mu * law.N * eps
     )
     return ConstraintCoeffs(a=a, b=float(b))

@@ -27,7 +27,9 @@ class ControlAffineSystem:
     """Plant dx/dt = f(x) + g(x) u, y = l(x).
 
     n, m, k are the state, input, and output dimensions. drift, input_map
-    and output_map must be pure and accept any finite state of length n.
+    and output_map must be pure, accept any finite state of length n and
+    return float64 arrays of shapes (n,), (n, m) and (k,): SimConfig checks
+    that once, and the loop uses them unconverted and never writes to them.
     """
 
     n: int
@@ -43,8 +45,10 @@ class ControlAffineSystem:
 
 
 def check_shape(name: str, value, shape: tuple) -> np.ndarray:
-    """value as a float array; ValueError naming `name` unless it has `shape`."""
-    value = np.asarray(value, dtype=float)
+    """value; ValueError naming `name` unless it is a float64 array of `shape`."""
+    if not isinstance(value, np.ndarray) or value.dtype != np.float64:
+        kind = getattr(value, "dtype", type(value).__name__)
+        raise ValueError(f"{name} returned {kind}, expected a float64 array of shape {shape}")
     if value.shape != shape:
         raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
     return value

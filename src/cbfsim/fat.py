@@ -75,7 +75,7 @@ class AdaptiveState:
             raise ValueError("omega must be > 0")
         if self.E < 0:
             raise ValueError("E must be >= 0")
-        check_finite(theta_hat=th, epsilon=self.epsilon, mu=self.mu, omega=self.omega, E=self.E)
+        check_finite(theta_hat=th, theta_bar=tb, epsilon=self.epsilon, mu=self.mu, omega=self.omega, E=self.E)
         with np.errstate(over="ignore"):
             gain = -(tb ** 2) / (2.0 * self.epsilon)
         if not np.isfinite(gain).all():

@@ -79,7 +79,7 @@ def make_luenberger(system: ControlAffineSystem, gain: Matrix, bound: ErrorBound
     drift, input_map, output_map = system.drift, system.input_map, system.output_map
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
-        return drift(xhat) + np.dot(input_map(xhat), u) + gain.dot(y - output_map(xhat))
+        return drift(xhat) + input_map(xhat).dot(u) + gain.dot(y - output_map(xhat))
 
     return EeqObserver(rhs=rhs, bound=bound)
 

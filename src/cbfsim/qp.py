@@ -26,7 +26,8 @@ class QpResult:
 
 
 def solve_halfspace_qp(u_d: Vector, c: ConstraintCoeffs) -> QpResult:
-    """Minimize ||u - u_d||^2 subject to a . u + b >= 0.
+    """Minimize ||u - u_d||^2 subject to a . u + b >= 0 over float arrays
+    u_d and a = c.a, neither of which is written; u is always a new array.
 
     If u_d already satisfies the constraint it is returned unchanged.
     Otherwise the solution is the projection u_d - a (a.u_d + b)/||a||^2.
@@ -34,8 +35,7 @@ def solve_halfspace_qp(u_d: Vector, c: ConstraintCoeffs) -> QpResult:
     feasible=False and u = u_d (the caller decides what to apply). So does
     an a too small for the step (a.u_d + b)/||a||^2 to be a finite float.
     """
-    u_d = np.asarray(u_d, dtype=float)
-    a = np.asarray(c.a, dtype=float)
+    a = c.a
     resid = float(a.dot(u_d) + c.b)
     if resid >= 0.0:
         return QpResult(u=u_d.copy(), active=False, feasible=True)

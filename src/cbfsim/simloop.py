@@ -57,9 +57,9 @@ class RunError(RuntimeError):
 class SimConfig:
     """One closed-loop run. Construction is the validation boundary: it
     checks the scalars, caps t_end / dt at MAX_STEPS, keeps every basis
-    argument k omega t finite on [0, t_end] and evaluates every callable
-    once at the initial data, so that the loop calls them unchecked. The
-    epsilon bound at the initial data is derived once, on first use.
+    argument k omega t finite on [0, t_end] and checks every callable's
+    return once at the initial data, so that the loop uses them unchecked
+    and unconverted. The epsilon bound there is derived once, on first use.
     """
 
     system: ControlAffineSystem
@@ -113,7 +113,7 @@ class SimConfig:
 
     def _check_callables(self) -> None:
         """ValueError unless f, g, l, u_nominal, the observer rhs and every
-        s_k and grad_s_k return the shapes the loop relies on."""
+        grad_s_k return float64 arrays of their shapes, and every s_k a scalar."""
         sys_, x0, xhat0 = self.system, self.x0, self.xhat0
         n = sys_.n
         check_shape("drift", sys_.drift(x0), (n,))
@@ -122,14 +122,15 @@ class SimConfig:
         u0 = check_shape("u_nominal", self.u_nominal(0.0, xhat0), (sys_.m,))
         check_shape("observer rhs", self.observer.rhs(xhat0, y0, u0, 0.0), (n,))
         for k, (s, grad_s) in enumerate(zip(self.barrier.s, self.barrier.grad_s)):
-            check_shape(f"s_{k}", s(xhat0), ())
+            check_shape(f"s_{k}", np.asarray(s(xhat0), dtype=float), ())
             check_shape(f"grad_s_{k}", grad_s(xhat0), (n,))
 
     @cached_property
     def epsilon_bound(self) -> float:
         """Largest epsilon the initial data admit, epsilon_bound_rdr at xhat0;
         non-positive when none is admissible."""
-        return epsilon_bound_rdr(self.barrier, self.xhat0, self.observer.bound, self.adaptive0)
+        with np.errstate(all="ignore"):  # an overflowing level is the run's to report
+            return epsilon_bound_rdr(self.barrier, self.xhat0, self.observer.bound, self.adaptive0)
 
     @property
     def epsilon_ok(self) -> bool:
@@ -195,19 +196,19 @@ def compute_epsilon_bound(cfg: SimConfig) -> float:
     return cfg.epsilon_bound
 
 
-def _proposed_row(cfg: SimConfig, xhat: Vector, h_hat: float, s_top: float,
-                  theta: np.ndarray, M: float, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
+def _proposed_row(cfg: SimConfig, xhat: Vector, h_hat: float, h_eps: float,
+                  theta: np.ndarray, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
     """The observer-aware row on the top chain level: constraint_rdr."""
     dM = float(cfg.observer.bound.derivative(t))
-    return constraint_rdr(cfg.barrier, cfg.system, xhat, s_top, cfg.adaptive0, theta, M, dM, phis)
+    return constraint_rdr(cfg.barrier, cfg.system, xhat, h_eps, cfg.adaptive0, theta, dM, phis)
 
 
-def _baseline_row(cfg: SimConfig, xhat: Vector, h_hat: float, s_top: float,
-                  theta: np.ndarray, M: float, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
+def _baseline_row(cfg: SimConfig, xhat: Vector, h_hat: float, h_eps: float,
+                  theta: np.ndarray, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
     """The zeroing-CBF row on h at the estimate: grad_h . g u + grad_h . f + gamma h."""
     g = cfg.barrier.grad_s[0](xhat)
-    return ConstraintCoeffs(a=np.dot(g, cfg.system.input_map(xhat)),
-                            b=float(np.dot(g, cfg.system.drift(xhat)) + cfg.baseline_gamma * h_hat))
+    return ConstraintCoeffs(a=g.dot(cfg.system.input_map(xhat)),
+                            b=float(g.dot(cfg.system.drift(xhat)) + cfg.baseline_gamma * h_hat))
 
 
 # name -> (row function, adapts theta_hat); phis is the basis row, None if not adapting
@@ -258,7 +259,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         x = z[:n]
         xhat = z[n:n2]
         dz = zeros.copy()
-        dz[:n] = drift(x) + np.dot(input_map(x), u_current)
+        dz[:n] = drift(x) + input_map(x).dot(u_current)
         dz[n:n2] = obs_rhs(xhat, output_map(x), u_current, t)
         if adapts:
             if t != row_t:
@@ -279,18 +280,18 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             t = times.item(i)
             x = z[:n]
             xhat = z[n:n2]
-            u_d = np.asarray(u_nominal(t, xhat), dtype=float)
+            u_d = u_nominal(t, xhat)
             M = float(bound_value(t))
-            # one evaluation of h and s_{r-1} at xhat serves the row and the trace
+            # one evaluation of h and h_eps = s_{r-1} - L M - eps serves the row and the trace
             h_hat = float(base_h(xhat))
-            s_top = h_hat if top == 0 else float(top_s(xhat))
+            h_eps = (h_hat if top == 0 else float(top_s(xhat))) - L_top * M - eps
             theta = z[n2:].reshape(N, n)
             if adapts:
                 if t != row_t:
                     row_t, row = t, law_row(t)
                 # np.linalg.norm(theta, axis=1) without its dispatch, same bits
                 tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
-            coeffs = row_fn(cfg, xhat, h_hat, s_top, theta, M, t, row)
+            coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
             if not math.isfinite(coeffs.b):
                 raise RunError(f"constraint row became non-finite at t={t:.6g}",
                                _sample_dict(t, x, xhat, u_current))
@@ -307,7 +308,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
             tr_h[i] = base_h(x)
             tr_h0[i] = h_hat - base_L * M
-            tr_eps[i] = s_top - L_top * M - eps
+            tr_eps[i] = h_eps
             tr_res[i] = coeffs.residual(u)
             tr_M[i] = M
             tr_act[i] = res.active

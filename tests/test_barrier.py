@@ -45,9 +45,10 @@ def _skm(chain, k, xhat, t, bound):
 
 def _row(chain, sys_, xhat, st, bound, t):
     """constraint_rdr on the inputs that run_simulation precomputes at time t."""
-    s_top = float(chain.s[chain.r - 1](xhat))
-    return constraint_rdr(chain, sys_, xhat, s_top, st, st.theta_hat, float(bound.value(t)),
-                          float(bound.derivative(t)), st.basis_row(t))
+    top = chain.r - 1
+    h_eps = float(chain.s[top](xhat)) - chain.L_k[top] * float(bound.value(t)) - st.epsilon
+    return constraint_rdr(chain, sys_, xhat, h_eps, st, st.theta_hat, float(bound.derivative(t)),
+                          st.basis_row(t))
 
 
 def test_h0_values():

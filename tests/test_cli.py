@@ -465,6 +465,10 @@ def test_omega_that_overflows_the_basis_is_one_error_line(tmp_path, capsys, t_en
                  "state became non-finite during the step starting at t=0", id="state-overflow-x0"),
     pytest.param('{"preset": "example2", "u_d": [1e308, 0, 0]}',
                  "state became non-finite during the step starting at t=0", id="state-overflow-u_d"),
+    # the chain levels overflow at xhat0, where SimConfig.epsilon_bound
+    # evaluates them before the run
+    pytest.param('{"preset": "example1c", "xhat0": [-1e308, 1e308, -1e308]}',
+                 "constraint row became non-finite at t=0", id="epsilon-bound-overflow-xhat0"),
 ])
 def test_overflowing_input_is_one_error_line(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "run.json"

@@ -77,47 +77,62 @@ def _law(**changes) -> AdaptiveState:
     ("epsilon", lambda: _law(epsilon=math.inf)),
     ("omega", lambda: _law(omega=math.inf)),
     ("theta_hat", lambda: _law(theta_hat=np.full((3, 3), math.nan))),
+    ("theta_bar", lambda: _law(theta_bar=np.array([0.5, math.inf, 0.5]))),
+    ("L_k", lambda: BarrierChain(s=(lambda x: x[1] - 1.0,), grad_s=(lambda x: np.ones(3),), L_k=(math.inf,))),
     ("baseline_gamma", lambda: replace(_cfg_1a(), baseline_gamma=math.inf)),
     ("D", lambda: ErrorBoundModel.exponential(D=math.inf, lam=-0.05)),
     ("D", lambda: ErrorBoundModel.exponential(D=math.nan, lam=-0.05)),
     ("lam", lambda: ErrorBoundModel.exponential(D=2.0, lam=-math.inf)),
     ("beta", lambda: ErrorBoundModel.constant(math.nan)),
-], ids=["E-inf", "E-nan", "mu-inf", "epsilon-inf", "omega-inf", "theta_hat-nan", "baseline_gamma-inf",
-        "D-inf", "D-nan", "lam-inf", "beta-nan"])
+], ids=["E-inf", "E-nan", "mu-inf", "epsilon-inf", "omega-inf", "theta_hat-nan", "theta_bar-inf",
+        "L_k-inf", "baseline_gamma-inf", "D-inf", "D-nan", "lam-inf", "beta-nan"])
 def test_constructors_reject_non_finite_scalars(name, build):
-    # each of these used to build, so the run failed at t = 0 with a
-    # non-finite constraint row: a config error reported as a run error
+    # each of these but theta_bar used to build, so the run failed at t = 0
+    # with a non-finite constraint row: a config error reported as a run
+    # error; an infinite theta_bar was reported as a gain overflow at epsilon
     with pytest.raises(ValueError, match=f"^{name} must be finite$"):
         build()
 
 
 def _bad_callable(cfg: SimConfig, what: str) -> dict:
-    """One SimConfig change that makes a single callable return a wrong shape."""
+    """One SimConfig change that makes a single callable return a wrong
+    shape, or, for "<name>:<kind>", the right shape as a <kind>."""
     sys_, chain = cfg.system, cfg.barrier
     if what == "drift":
         return {"system": replace(sys_, drift=lambda x: np.zeros(4))}
+    if what == "drift:list":
+        return {"system": replace(sys_, drift=lambda x: [0.0, 0.0, 0.0])}
     if what == "input map":
         return {"system": replace(sys_, input_map=lambda x: np.zeros((4, 1)))}
+    if what == "input map:int64":
+        return {"system": replace(sys_, input_map=lambda x: np.array([[0], [1], [1]], dtype=np.int64))}
     if what == "output map":
         return {"system": replace(sys_, output_map=lambda x: np.zeros(2))}
     if what == "observer rhs":
         return {"observer": replace(cfg.observer, rhs=lambda xh, y, u, t: np.zeros(2))}
     if what.startswith("s_"):  # s_k for the chain's top level k
         return {"barrier": replace(chain, s=(*chain.s[:-1], lambda x: x[:2]))}
+    if what == "grad_s_2:list":
+        return {"barrier": replace(chain, grad_s=(*chain.grad_s[:-1], lambda x: [-1.0, 4.0, -2.0]))}
     if what.startswith("grad_s_"):
         return {"barrier": replace(chain, grad_s=(*chain.grad_s[:-1], lambda x: np.ones(2)))}
+    if what == "u_nominal:tuple":
+        return {"u_nominal": lambda t, xh: (-2.0,)}
     return {"u_nominal": lambda t, xh: np.zeros(2)}
 
 
 @pytest.mark.parametrize(
     "what", ["drift", "input map", "output map", "observer rhs", "s_0", "grad_s_0", "u_nominal",
-             "s_2", "grad_s_2"])
+             "s_2", "grad_s_2", "drift:list", "input map:int64", "u_nominal:tuple", "grad_s_2:list"])
 def test_config_checks_callable_shapes_at_construction(what):
-    # the loop calls these unchecked, so a wrong shape must fail when the
-    # config is built, naming the callable; s_2 and grad_s_2 are the top
-    # level of example1c's three-level chain
-    cfg = make_preset("example1c").cfg if what.endswith("_2") else _cfg_1a()
-    with pytest.raises(ValueError, match=f"^{what} returned shape"):
+    # the loop calls these unchecked and unconverted, so a wrong shape, or
+    # a vector that is not a float64 array, must fail when the config is
+    # built, naming the callable; s_2 and grad_s_2 are the top level of
+    # example1c's three-level chain
+    name, _, kind = what.partition(":")
+    cfg = make_preset("example1c").cfg if name.endswith("_2") else _cfg_1a()
+    want = f"{kind}, expected a float64 array" if kind else "shape"
+    with pytest.raises(ValueError, match=f"^{name} returned {want}"):
         replace(cfg, **_bad_callable(cfg, what))
 
 
