@@ -87,12 +87,15 @@ def epsilon_bound_rdr(
 ) -> float:
     """Largest epsilon admitted by the initial data: min_k s_k^M(xhat0, 0) / denom.
 
-    Any epsilon in (0, bound] is admissible. A non-positive return means no
-    feasible epsilon exists for this initial state; callers flag it rather
-    than this function raising.
+    Any epsilon in (0, bound] is admissible. A non-positive or NaN return
+    means no feasible epsilon exists for this initial state (NaN when a
+    deflated level is not a number); callers flag it rather than this
+    function raising.
     """
     M0 = float(bound.value(0.0))
-    worst = min(float(s(xhat0)) - L * M0 for s, L in zip(chain.s, chain.L_k))
+    levels = [float(s(xhat0)) - L * M0 for s, L in zip(chain.s, chain.L_k)]
+    # min drops a NaN unless it comes first; a NaN level must not pass
+    worst = math.nan if any(map(math.isnan, levels)) else min(levels)
     return worst / _epsilon_denominator(state0)
 
 

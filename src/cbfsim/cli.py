@@ -101,9 +101,9 @@ def _parse_config_doc(text: str) -> tuple[str, dict]:
     return doc["preset"], {k: v for k, v in doc.items() if k != "preset"}
 
 
-# Rows are formatted and joined per block of this many, so that only one
-# block of cells is held as Python objects at a time.
-_CSV_BLOCK = 64
+# CSV rows and SVG points are formatted and joined per block of this many,
+# so that only one block of cells is held as Python objects at a time.
+_BLOCK = 64
 
 
 def emit_csv(trace: SimTrace) -> str:
@@ -111,13 +111,21 @@ def emit_csv(trace: SimTrace) -> str:
     if len(trace) == 0:
         raise ValueError("trace is empty")
     cols = list(trace.columns().items())
-    row_fmt = ",".join(["{:.12g}"] * len(cols))  # formats True/False as 1/0
+    row_fmt = ",".join(["%.12g"] * len(cols))  # formats True/False as 1/0
     chunks = [",".join(name for name, _ in cols)]
-    for start in range(0, len(trace), _CSV_BLOCK):
-        block = [col[start:start + _CSV_BLOCK].tolist() for _, col in cols]
-        chunks.append("\n".join([row_fmt.format(*row) for row in zip(*block)]))
+    for start in range(0, len(trace), _BLOCK):
+        block = [col[start:start + _BLOCK].tolist() for _, col in cols]
+        chunks.append("\n".join([row_fmt % row for row in zip(*block)]))
     chunks.append("")
     return "\n".join(chunks)
+
+
+def _points(xs: Vector, ys: Vector):
+    """'x,y' polyline points to two decimals, one space-joined string per
+    block of points."""
+    for start in range(0, xs.shape[0], _BLOCK):
+        pts = zip(xs[start:start + _BLOCK].tolist(), ys[start:start + _BLOCK].tolist())
+        yield " ".join(["%.2f,%.2f" % p for p in pts])
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
@@ -153,10 +161,12 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
     left, top = _SVG_MARGIN, _SVG_MARGIN
     right, bottom = _SVG_W - _SVG_MARGIN, _SVG_H - _SVG_MARGIN
 
-    def px(v: float) -> float:
+    # px and py map a float or a whole array by the same operations, so a
+    # point gets the same double either way
+    def px(v):
         return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
 
-    def py(v: float) -> float:
+    def py(v):
         return bottom - (v - y_lo) / (y_hi - y_lo) * (bottom - top)
 
     out = [
@@ -192,7 +202,9 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
     )
     for idx, (label, t, q) in enumerate(series):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(t, q))
+        with np.errstate(all="ignore"):  # as silent as float arithmetic
+            xs, ys = px(t), py(q)
+        points = " ".join(_points(xs, ys))
         out.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

@@ -44,9 +44,9 @@ class AdaptiveState:
     bounds the norm of the truncated tail.
 
     The gains -theta_bar_i^2 / (2 epsilon) and the basis terms are derived
-    once per construction, so `dataclasses.replace` recomputes them. `rhs`
-    does only the math and checks nothing; `adaptive_rhs` is the validating
-    entry point for direct callers.
+    once per construction, so `dataclasses.replace` recomputes them.
+    `coefficient` and `rhs` do only the math and check nothing;
+    `adaptive_rhs` is the validating entry point for direct callers.
     """
 
     theta_hat: np.ndarray
@@ -94,9 +94,15 @@ class AdaptiveState:
         """[phi_1(t), ..., phi_N(t)]."""
         return _row(self.terms, t)
 
-    def rhs(self, theta_hat: np.ndarray, grad: Vector, phis: Vector) -> np.ndarray:
-        """(N, n) derivative of theta_hat, given grad and the basis row at t."""
-        return (self.gain * phis)[:, None] * grad - self.mu * theta_hat
+    def coefficient(self, phis: Vector) -> np.ndarray:
+        """(N, 1) column of the law's coefficients -theta_bar_i^2 / (2 epsilon)
+        phi_i(t), given the basis row phis at t."""
+        return (self.gain * phis)[:, None]
+
+    def rhs(self, theta_hat: Vector, grad: Vector, coef: np.ndarray) -> Vector:
+        """Derivative of the flat (N n) theta_hat, rows stacked, given grad and
+        coef = coefficient(phis) at t."""
+        return (coef * grad).ravel() - self.mu * theta_hat
 
 
 def basis_row(N: int, omega: float, t: float) -> Vector:
@@ -120,4 +126,5 @@ def adaptive_rhs(state: AdaptiveState, grad: Vector, t: float) -> np.ndarray:
     grad = np.asarray(grad, dtype=float)
     if grad.shape != (state.theta_hat.shape[1],):
         raise ValueError("grad length must match the parameter vector length")
-    return state.rhs(state.theta_hat, grad, basis_row(state.N, state.omega, t))
+    coef = state.coefficient(basis_row(state.N, state.omega, t))
+    return state.rhs(state.theta_hat.ravel(), grad, coef).reshape(state.theta_hat.shape)

@@ -140,7 +140,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Column-oriented record of one run; one row per accepted step."""
+    """Column-oriented record of one run; one row per accepted step.
+    run_simulation's columns are views into its row blocks, not copies."""
 
     t: np.ndarray
     x: np.ndarray
@@ -237,35 +238,40 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     row_fn, adapts = CONTROLLERS[cfg.controller]
     times = time_grid(cfg.t_end, cfg.dt)
     S = times.shape[0]
-    tr_x = np.empty((S, n)); tr_xhat = np.empty((S, n)); tr_u = np.empty((S, m))
-    tr_h = np.empty(S); tr_h0 = np.empty(S); tr_eps = np.empty(S)
-    tr_res = np.empty(S); tr_M = np.empty(S); tr_th = np.empty((S, N))
-    tr_act = np.empty(S, dtype=bool); tr_feas = np.empty(S, dtype=bool)
-    tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)  # overwritten per row while adapting
+    # Three row blocks, of which the SimTrace columns are views: (x, xhat),
+    # the five float columns (h_true, h0, barrier_eps, residual, M) and the
+    # two flags (qp_active, qp_feasible).
+    tr_xx = np.empty((S, n2)); tr_u = np.empty((S, m))
+    tr_f = np.empty((S, 5)); tr_flags = np.empty((S, 2), dtype=bool)
+    if adapts:  # theta_hat rows, squared and reduced to norms after the loop
+        tr_th = np.empty((S, N, n))
+    else:  # theta_hat stays as it started
+        tr_th = np.empty((S, N))
+        tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
 
     u_current = np.zeros(m)  # held control, rebound each step
-    # z = (x, xhat, theta_hat). The basis row is reused while the stage time
-    # repeats: the loop's row at t serves RK4 stage 1, and stages 2 and 3
-    # share t + dt/2.
-    law_rhs, law_row = law.rhs, law.basis_row
-    row_t, row = None, None
+    # z = (x, xhat, theta_hat), theta_hat flat. The basis row and the law's
+    # coefficient are reused while the stage time repeats: the loop's row at
+    # t serves RK4 stage 1, and stages 2 and 3 share t + dt/2.
+    law_rhs, law_row, law_coef = law.rhs, law.basis_row, law.coefficient
+    row_t = row = coef = None
     z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
-    # rhs values start as copies of zeros (cheaper than empty_like): theta_hat's
-    # rate stays 0 unless the controller adapts, and RK4 carries it exactly
-    zeros = np.zeros_like(z)
+    # theta_hat's rate when the controller does not adapt; RK4 carries it exactly
+    zero_theta = np.zeros(N * n)
+    zero_z = np.zeros_like(z)
 
     def rhs(t: float, z: Vector) -> Vector:
-        nonlocal row_t, row
+        nonlocal row_t, row, coef
         x = z[:n]
         xhat = z[n:n2]
-        dz = zeros.copy()
-        dz[:n] = drift(x) + input_map(x).dot(u_current)
-        dz[n:n2] = obs_rhs(xhat, output_map(x), u_current, t)
-        if adapts:
-            if t != row_t:
-                row_t, row = t, law_row(t)
-            dz[n2:] = law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), row).ravel()
-        return dz
+        dx = drift(x) + input_map(x).dot(u_current)
+        dxhat = obs_rhs(xhat, output_map(x), u_current, t)
+        if not adapts:
+            return np.concatenate((dx, dxhat, zero_theta))
+        if t != row_t:
+            row_t, row = t, law_row(t)
+            coef = law_coef(row)
+        return np.concatenate((dx, dxhat, law_rhs(z[n2:], grad_fn(xhat), coef)))
 
     problem = OdeProblem(dim=z.shape[0], rhs=rhs)
     hold = cfg.on_infeasible == "hold"
@@ -289,8 +295,8 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             if adapts:
                 if t != row_t:
                     row_t, row = t, law_row(t)
-                # np.linalg.norm(theta, axis=1) without its dispatch, same bits
-                tr_th[i] = np.sqrt(np.add.reduce(theta * theta, axis=1))
+                    coef = law_coef(row)
+                tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
             if not math.isfinite(coeffs.b):
                 raise RunError(f"constraint row became non-finite at t={t:.6g}",
@@ -305,26 +311,27 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                 u = u_d
             u_current = u
 
-            tr_x[i] = x; tr_xhat[i] = xhat; tr_u[i] = u
-            tr_h[i] = base_h(x)
-            tr_h0[i] = h_hat - base_L * M
-            tr_eps[i] = h_eps
-            tr_res[i] = coeffs.residual(u)
-            tr_M[i] = M
-            tr_act[i] = res.active
-            tr_feas[i] = res.feasible
+            tr_xx[i] = z[:n2]; tr_u[i] = u
+            tr_f[i] = (base_h(x), h_hat - base_L * M, h_eps, coeffs.residual(u), M)
+            tr_flags[i] = (res.active, res.feasible)
 
             if i == S - 1:
                 break
             z = rk4_step(problem, t, z, times.item(i + 1) - t)
-            if not np.isfinite(z).all():
+            # 0 * v is +-0 for every finite v and NaN for +-inf or NaN, so the
+            # dot is finite exactly when every entry of z is
+            if not math.isfinite(z.dot(zero_z)):
                 raise RunError(f"state became non-finite during the step starting at t={t:.6g}",
                                _sample_dict(t, x, xhat, u))
 
+    if adapts:
+        # np.linalg.norm(theta, axis=1) per row, without its dispatch: same bits
+        np.multiply(tr_th, tr_th, out=tr_th)
+        tr_th = np.sqrt(np.add.reduce(tr_th, axis=2))
     trace = SimTrace(
-        t=times, x=tr_x, xhat=tr_xhat, u=tr_u, h_true=tr_h,
-        h0=tr_h0, barrier_eps=tr_eps, residual=tr_res, M=tr_M,
-        theta_norms=tr_th, qp_active=tr_act, qp_feasible=tr_feas,
+        t=times, x=tr_xx[:, :n], xhat=tr_xx[:, n:], u=tr_u, h_true=tr_f[:, 0],
+        h0=tr_f[:, 1], barrier_eps=tr_f[:, 2], residual=tr_f[:, 3], M=tr_f[:, 4],
+        theta_norms=tr_th, qp_active=tr_flags[:, 0], qp_feasible=tr_flags[:, 1],
     )
     bad_row, bad_name = S, None
     for name, col in trace.columns().items():
@@ -334,7 +341,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     if bad_name is not None:
         t = times.item(bad_row)
         raise RunError(f"column {bad_name} became non-finite at t={t:.6g}",
-                       _sample_dict(t, tr_x[bad_row], tr_xhat[bad_row], tr_u[bad_row]))
+                       _sample_dict(t, trace.x[bad_row], trace.xhat[bad_row], tr_u[bad_row]))
     return trace
 
 

@@ -167,6 +167,23 @@ def test_epsilon_bound_rdr_uniform_levels():
     assert got == pytest.approx(3.0 / 4.0, abs=1e-14)
 
 
+def _constant_levels(levels) -> BarrierChain:
+    return BarrierChain(s=tuple(lambda x, v=v: v for v in levels),
+                        grad_s=(lambda x: np.ones(1),) * len(levels), L_k=(1.0,) * len(levels))
+
+
+@pytest.mark.parametrize("levels", [(4.0, np.nan, np.nan), (4.0, np.nan), (-1.0, 2.0, np.nan)],
+                         ids=["example1c-at-1e308", "second", "third"])
+def test_epsilon_bound_rdr_nan_level_is_nan(levels):
+    # min() drops a NaN unless it comes first; a level that is not a number
+    # must leave no admissible epsilon, wherever it stands in the chain
+    st = _adaptive(n=1, N=1)
+    assert np.isnan(epsilon_bound_rdr(_constant_levels(levels), np.zeros(1), ZERO_BOUND, st))
+    # with numbers in its place the bound is the least level, as before
+    numbers = [7.0 if np.isnan(v) else v for v in levels]
+    assert epsilon_bound_rdr(_constant_levels(numbers), np.zeros(1), ZERO_BOUND, st) == min(numbers)
+
+
 def test_constraint_rd1_hand_assembly():
     # all terms at t=0: 0.5 drift slope, 0.1 bound drift, 0.1 tail margin,
     # 1.4 zeroing pull, 1.05 epsilon offset

@@ -13,6 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 import cbfsim
 from cbfsim import PRESET_NAMES, RunError, SimTrace, main, run_pair, run_simulation, safety_report, simloop
@@ -228,6 +231,68 @@ def test_svg_determinism(preset_runs):
     assert emit_plot(pair, "h_true") == emit_plot(pair, "h_true")
 
 
+# ---------------------------------------------------------------- emitters against their reference
+
+
+def _csv_reference(trace: SimTrace) -> str:
+    """emit_csv as a "{:.12g}" row template, one str.format per row."""
+    cols = list(trace.columns().items())
+    row_fmt = ",".join(["{:.12g}"] * len(cols))
+    rows = [",".join(name for name, _ in cols)]
+    rows += [row_fmt.format(*row) for row in zip(*[col.tolist() for _, col in cols])]
+    return "\n".join(rows) + "\n"
+
+
+def _polyline_reference(traces: list[tuple[str, SimTrace]], quantity: str) -> list[str]:
+    """emit_plot's polyline points, mapped and formatted one point at a time."""
+    series = [(tr.t, np.asarray(tr.columns()[quantity], dtype=float)) for _, tr in traces]
+    x_lo = min(float(t.min()) for t, _ in series)
+    x_hi = max(float(t.max()) for t, _ in series)
+    y_lo = min(min(float(q.min()) for _, q in series), 0.0)
+    y_hi = max(max(float(q.max()) for _, q in series), 0.0)
+    x_pad = 0.05 * (x_hi - x_lo) or 0.5
+    y_pad = 0.05 * (y_hi - y_lo) or 0.5
+    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+
+    def px(v: float) -> float:
+        return 60 + (v - x_lo) / (x_hi - x_lo) * (740 - 60)
+
+    def py(v: float) -> float:
+        return 440 - (v - y_lo) / (y_hi - y_lo) * (440 - 60)
+
+    return [" ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(t, q)) for t, q in series]
+
+
+# signed zeros, subnormals, the ends of the range the plot can scale, and
+# values whose 13th significant digit is a rounding tie
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                1.0000000000005, 2.0000000000005, 0.1234567890125, 123456789012.5, 9.999999999995e-5]
+_FLOATS = hst.one_of(hst.sampled_from(_EDGE_FLOATS), hst.floats(min_value=-1e300, max_value=1e300))
+
+
+@hst.composite
+def _traces(draw) -> SimTrace:
+    rows = draw(hst.integers(1, 150))  # 150 rows span three of emit_csv's 64-row blocks
+    f = draw(hnp.arrays(np.float64, (rows, 12), elements=_FLOATS))
+    b = draw(hnp.arrays(np.bool_, (rows, 2)))
+    f[0, 0] = 0.0  # t starts at 0, so the x axis spans more than its padding rounds away
+    return SimTrace(t=f[:, 0], x=f[:, 1:2], xhat=f[:, 2:3], u=f[:, 3:4], h_true=f[:, 4], h0=f[:, 5],
+                    barrier_eps=f[:, 6], residual=f[:, 7], M=f[:, 8], theta_norms=f[:, 9:12],
+                    qp_active=b[:, 0], qp_feasible=b[:, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(proposed=_traces(), baseline=_traces(),
+       quantity=hst.sampled_from(["h_true", "x1", "theta_norm_2", "qp_active"]))
+def test_emitters_match_their_per_row_reference(proposed, baseline, quantity):
+    assert emit_csv(proposed) == _csv_reference(proposed)
+    traces = [("proposed", proposed), ("baseline", baseline)]
+    svg = emit_plot(traces, quantity)
+    points = re.findall(r'<polyline fill="none" stroke="#\w+" stroke-width="1.5" points="([^"]*)"', svg)
+    assert points == _polyline_reference(traces, quantity)
+
+
 def test_svg_rejections(preset_runs):
     trace = preset_runs["example1a"]["proposed"]
     with pytest.raises(ValueError):
@@ -323,6 +388,9 @@ def test_run_preset_writes_outputs(tmp_path, capsys):
     pytest.param(None, ["--preset", "example1b", "--strict"], 2, id="flag"),
     pytest.param('{"preset": "example1b"}', ["--strict"], 2, id="config-and-flag"),
     pytest.param('{"preset": "example1b"}', ["--t-end", "0.01"], 0, id="config-without-flag"),
+    # example1c's levels at this estimate are (4, nan, nan): no epsilon is admissible
+    pytest.param('{"preset": "example1c", "xhat0": [5, 1e308, 1e308]}', ["--strict", "--t-end", "0"], 2,
+                 id="nan-level"),
 ])
 def test_strict_gate_at_the_cli(tmp_path, capsys, doc, args, code):
     if doc is not None:
@@ -338,7 +406,8 @@ def test_strict_gate_at_the_cli(tmp_path, capsys, doc, args, code):
         assert captured.err == "error: unknown config key 'strict_feasibility'\n"
         assert not out_dir.exists()
         return
-    assert lines[0].startswith("warning: epsilon bound -1.53333 is non-positive")
+    bound = "nan" if doc is not None and "1e308" in doc else "-1.53333"
+    assert lines[0].startswith(f"warning: epsilon bound {bound} is non-positive")
     if code == 2:
         assert lines[1:] == ["strict feasibility check failed; not running"]
         assert not out_dir.exists()

@@ -365,6 +365,62 @@ def test_blowup_raises_run_error():
     assert np.all(np.isfinite(sample["x"]))
 
 
+def _run_capturing_states(monkeypatch, cfg: SimConfig) -> tuple[RunError, np.ndarray]:
+    """run_simulation(cfg)'s RunError and the state of the step that raised it."""
+    states = []
+    step = simloop.rk4_step
+
+    def capturing(problem, t, z, dt):
+        states.append(step(problem, t, z, dt))
+        return states[-1]
+
+    monkeypatch.setattr(simloop, "rk4_step", capturing)
+    with pytest.raises(RunError) as exc:
+        run_simulation(cfg)
+    return exc.value, states[-1]
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_estimate_alone_is_caught_after_its_step(monkeypatch, bad, controller):
+    # the observer's rate turns non-finite from stage time 0.0505 on, the
+    # second stage of the step starting at t = 0.05; x and theta_hat stay finite
+    cfg = _cfg_1a()
+    rhs = cfg.observer.rhs
+
+    def failing(xhat, y, u, t):
+        return np.full(3, bad) if t >= 0.05025 else rhs(xhat, y, u, t)
+
+    cfg = replace(cfg, observer=replace(cfg.observer, rhs=failing), t_end=0.1, controller=controller)
+    err, z = _run_capturing_states(monkeypatch, cfg)
+    assert str(err) == "state became non-finite during the step starting at t=0.05"
+    assert err.last_sample["t"] == 0.05
+    assert np.isfinite(z[:3]).all() and not np.isfinite(z[3:6]).any() and np.isfinite(z[6:]).all()
+
+
+def test_non_finite_estimates_alone_are_caught_after_their_step(monkeypatch):
+    # gain 5e300 times a gradient of norm 1e10 overflows the adaptive law in
+    # the first step; x and xhat do not read theta_hat and stay finite
+    cfg = _cfg_1a()
+    chain = BarrierChain(s=(lambda x: 1e10 * (x[1] - 1.0),),
+                         grad_s=(lambda x: np.array([0.0, 1e10, 0.0]),), L_k=(1e10,))
+    law = replace(cfg.adaptive0, theta_bar=np.full(3, 1e150))
+    err, z = _run_capturing_states(monkeypatch, replace(cfg, barrier=chain, adaptive0=law, t_end=0.1))
+    assert str(err) == "state became non-finite during the step starting at t=0"
+    assert err.last_sample["t"] == 0.0
+    assert np.isfinite(z[:6]).all() and not np.isfinite(z[6:]).all()
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_huge_finite_state_is_not_non_finite(controller):
+    # 0 * v is 0 for every finite v, however large: a state near 1e300 runs
+    cfg = replace(_cfg_1a(), x0=np.array([1e300, 1.5, -1e300]), t_end=0.05, controller=controller)
+    trace = run_simulation(cfg)
+    assert len(trace) == 51
+    assert 1e299 < np.abs(trace.x).max() < 1e301
+    assert np.isfinite(trace.x).all() and np.isfinite(trace.xhat).all()
+
+
 def test_determinism():
     cfg = replace(_cfg_1a(), t_end=1.0)
     a = run_simulation(cfg)
