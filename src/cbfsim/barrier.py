@@ -66,15 +66,20 @@ class BarrierChain:
         return len(self.s)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ConstraintCoeffs:
-    """Linear inequality on the control: feasible u satisfies a . u + b >= 0."""
+    """Linear inequality on the control: feasible u satisfies a . u + b >= 0.
+
+    Built once per step and never written after construction. It is not
+    frozen: a frozen dataclass's __init__ sets each field through
+    object.__setattr__ and costs about twice as much.
+    """
 
     a: Vector
     b: float
 
     def residual(self, u: Vector) -> float:
-        return float(self.a.dot(u) + self.b)
+        return float(self.a.dot(u)) + self.b
 
 
 def _epsilon_denominator(state0: AdaptiveState) -> float:
@@ -118,12 +123,12 @@ def constraint_rdr(
     L = chain.L_k[top]
     eps, mu = law.epsilon, law.mu
     grad = chain.grad_s[top](xhat)
-    a = grad.dot(sys.input_map(xhat))
+    # the scalars are Python floats: the same doubles as numpy's, made faster
     b = (
-        grad.dot(sys.drift(xhat) + phis.dot(theta_hat))
+        float(grad.dot(sys.drift(xhat) + phis.dot(theta_hat)))
         - L * dM
-        - math.sqrt(grad.dot(grad)) * law.E
+        - math.sqrt(float(grad.dot(grad))) * law.E
         + mu * h_eps
         - mu * law.N * eps
     )
-    return ConstraintCoeffs(a=a, b=float(b))
+    return ConstraintCoeffs(grad.dot(sys.input_map(xhat)), b)

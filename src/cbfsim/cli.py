@@ -156,6 +156,8 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
     x_pad = 0.05 * (x_hi - x_lo) or 0.5
     y_pad = 0.05 * (y_hi - y_lo) or 0.5
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    if x_lo == x_hi:  # every t is one value too large for the 0.5 pad to move
+        x_lo, x_hi = math.nextafter(x_lo, -math.inf), math.nextafter(x_hi, math.inf)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
     left, top = _SVG_MARGIN, _SVG_MARGIN
@@ -236,8 +238,9 @@ def _print_feasibility(cfg: SimConfig, out) -> bool:
     if ok:
         print(f"epsilon feasibility: bound {bound:.6g}, using {used:g} (ok)", file=out)
     elif not bound > 0:
+        verdict = "is not a number" if math.isnan(bound) else "is non-positive"
         print(
-            f"warning: epsilon bound {bound:.6g} is non-positive; no feasible epsilon "
+            f"warning: epsilon bound {bound:.6g} {verdict}; no feasible epsilon "
             f"exists for this initial data (configured epsilon={used:g})",
             file=out,
         )

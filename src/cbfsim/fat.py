@@ -28,8 +28,11 @@ def _series_terms(N: int, omega: float) -> tuple:
     )
 
 
-def _row(terms: tuple, t: float) -> Vector:
-    return np.array([fn(w * t) for fn, w in terms])
+def _basis(terms: tuple, ts: list) -> np.ndarray:
+    """(len(ts), N) array whose row j is [phi_1(ts[j]), ..., phi_N(ts[j])],
+    for Python floats ts: the one basis formula. Built one term at a time,
+    which is cheaper than one row at a time, with the same math calls."""
+    return np.array([[fn(w * t) for t in ts] for fn, w in terms]).T.copy()
 
 
 @dataclass(frozen=True)
@@ -92,12 +95,18 @@ class AdaptiveState:
 
     def basis_row(self, t: float) -> Vector:
         """[phi_1(t), ..., phi_N(t)]."""
-        return _row(self.terms, t)
+        return _basis(self.terms, [t])[0]
 
-    def coefficient(self, phis: Vector) -> np.ndarray:
-        """(N, 1) column of the law's coefficients -theta_bar_i^2 / (2 epsilon)
-        phi_i(t), given the basis row phis at t."""
-        return (self.gain * phis)[:, None]
+    def basis_rows(self, ts: list) -> np.ndarray:
+        """(len(ts), N) array whose row j is basis_row(ts[j]), bit for bit;
+        ts holds Python floats."""
+        return _basis(self.terms, ts)
+
+    def coefficient(self, phis: np.ndarray) -> np.ndarray:
+        """Column of the law's coefficients -theta_bar_i^2 / (2 epsilon)
+        phi_i(t), given the basis row phis at t: (N, 1) for one row, (K, N, 1)
+        for K rows, each entry the same double either way."""
+        return (self.gain * phis)[..., None]
 
     def rhs(self, theta_hat: Vector, grad: Vector, coef: np.ndarray) -> Vector:
         """Derivative of the flat (N n) theta_hat, rows stacked, given grad and
@@ -107,7 +116,7 @@ class AdaptiveState:
 
 def basis_row(N: int, omega: float, t: float) -> Vector:
     """[phi_1(t), ..., phi_N(t)] as a dense row."""
-    return _row(_series_terms(N, omega), t)
+    return _basis(_series_terms(N, omega), [t])[0]
 
 
 def fat_eval(state: AdaptiveState, t: float) -> Vector:

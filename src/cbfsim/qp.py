@@ -18,8 +18,11 @@ from .barrier import ConstraintCoeffs
 Vector = np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class QpResult:
+    """The projection's result; built once per step and never written after
+    construction (not frozen: a frozen dataclass's __init__ costs more)."""
+
     u: Vector
     active: bool    # constraint tight at the solution
     feasible: bool  # False only when the constraint set is empty
@@ -36,13 +39,13 @@ def solve_halfspace_qp(u_d: Vector, c: ConstraintCoeffs) -> QpResult:
     an a too small for the step (a.u_d + b)/||a||^2 to be a finite float.
     """
     a = c.a
-    resid = float(a.dot(u_d) + c.b)
+    resid = float(a.dot(u_d)) + c.b  # Python floats: numpy's doubles, made faster
     if resid >= 0.0:
-        return QpResult(u=u_d.copy(), active=False, feasible=True)
+        return QpResult(u_d.copy(), False, True)
     nrm2 = float(a.dot(a))
     if nrm2 > 0.0:
         step = -resid / nrm2
         if step != math.inf:  # an a this small gives no usable direction
-            return QpResult(u=u_d + a * step, active=True, feasible=True)
-    return QpResult(u=u_d.copy(), active=False, feasible=False)
+            return QpResult(u_d + a * step, True, True)
+    return QpResult(u_d.copy(), False, False)
 

@@ -7,8 +7,9 @@ the run is a sampled-data approximation of the continuous statement; the
 adaptive law integrates continuously inside the step.
 
 A controller is one CONTROLLERS entry: a row function over the loop's
-per-step values, and whether it adapts the estimates. Every run carries
-the estimates; one that does not adapt leaves them as they started.
+per-step values, and whether it adapts the estimates. A run that adapts
+carries the estimates in its state; one that does not integrates (x, xhat)
+alone and hands the row the estimates it started with.
 "proposed" adapts and assembles the observer-aware constraint (deflated
 barrier, series correction, margin terms). "baseline" uses the zeroing-CBF
 row grad_h . g u + grad_h . f + gamma h at the estimate, as if xhat were x.
@@ -39,6 +40,9 @@ Vector = np.ndarray
 
 INFEASIBLE_MODES = ("nominal", "hold")
 MAX_STEPS = 10**7  # largest t_end / dt a run may allocate traces for
+# Steps per table of basis rows and law coefficients: larger tables save no
+# time and hold more memory
+_TABLE_BLOCK = 64
 
 
 class RunError(RuntimeError):
@@ -208,8 +212,8 @@ def _baseline_row(cfg: SimConfig, xhat: Vector, h_hat: float, h_eps: float,
                   theta: np.ndarray, t: float, phis: Optional[Vector]) -> ConstraintCoeffs:
     """The zeroing-CBF row on h at the estimate: grad_h . g u + grad_h . f + gamma h."""
     g = cfg.barrier.grad_s[0](xhat)
-    return ConstraintCoeffs(a=g.dot(cfg.system.input_map(xhat)),
-                            b=float(g.dot(cfg.system.drift(xhat)) + cfg.baseline_gamma * h_hat))
+    return ConstraintCoeffs(g.dot(cfg.system.input_map(xhat)),
+                            float(g.dot(cfg.system.drift(xhat))) + cfg.baseline_gamma * h_hat)
 
 
 # name -> (row function, adapts theta_hat); phis is the basis row, None if not adapting
@@ -250,34 +254,42 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
 
     u_current = np.zeros(m)  # held control, rebound each step
-    # z = (x, xhat, theta_hat), theta_hat flat. The basis row and the law's
-    # coefficient are reused while the stage time repeats: the loop's row at
-    # t serves RK4 stage 1, and stages 2 and 3 share t + dt/2.
-    law_rhs, law_row, law_coef = law.rhs, law.basis_row, law.coefficient
-    row_t = row = coef = None
-    z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
-    # theta_hat's rate when the controller does not adapt; RK4 carries it exactly
-    zero_theta = np.zeros(N * n)
-    zero_z = np.zeros_like(z)
+    theta, row = law.theta_hat, None  # the row's estimates and basis row
+    if adapts:
+        # z = (x, xhat, theta_hat), theta_hat flat. The law's coefficient at a
+        # stage time comes from the current block's table (see _basis_block);
+        # a time that is not in it is evaluated on the spot.
+        law_rhs, law_row, law_coef = law.rhs, law.basis_row, law.coefficient
+        grid: list = []
+        table: dict = {}
+        z = np.concatenate([cfg.x0, cfg.xhat0, theta.ravel()])
 
-    def rhs(t: float, z: Vector) -> Vector:
-        nonlocal row_t, row, coef
-        x = z[:n]
-        xhat = z[n:n2]
-        dx = drift(x) + input_map(x).dot(u_current)
-        dxhat = obs_rhs(xhat, output_map(x), u_current, t)
-        if not adapts:
-            return np.concatenate((dx, dxhat, zero_theta))
-        if t != row_t:
-            row_t, row = t, law_row(t)
-            coef = law_coef(row)
-        return np.concatenate((dx, dxhat, law_rhs(z[n2:], grad_fn(xhat), coef)))
+        def rhs(t: float, z: Vector) -> Vector:
+            x = z[:n]
+            xhat = z[n:n2]
+            dx = drift(x) + input_map(x).dot(u_current)
+            dxhat = obs_rhs(xhat, output_map(x), u_current, t)
+            coef = table.get(t)
+            if coef is None:
+                coef = law_coef(law_row(t))
+            return np.concatenate((dx, dxhat, law_rhs(z[n2:], grad_fn(xhat), coef)))
+    else:
+        # z = (x, xhat): theta_hat stays as it started, so it is not integrated
+        z = np.concatenate([cfg.x0, cfg.xhat0])
+
+        def rhs(t: float, z: Vector) -> Vector:
+            x = z[:n]
+            dx = drift(x) + input_map(x).dot(u_current)
+            return np.concatenate((dx, obs_rhs(z[n:], output_map(x), u_current, t)))
+
+    zero_z = np.zeros_like(z)
 
     problem = OdeProblem(dim=z.shape[0], rhs=rhs)
     hold = cfg.on_infeasible == "hold"
     u_nominal = cfg.u_nominal
     eps = law.epsilon
     last_feasible_u: Optional[Vector] = None
+    block_start = refill = 0  # the current table's first row, and the next's
 
     # A value that overflows is caught below (the state after each step, the
     # row's b, every column at the end), not warned about step by step.
@@ -291,11 +303,12 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             # one evaluation of h and h_eps = s_{r-1} - L M - eps serves the row and the trace
             h_hat = float(base_h(xhat))
             h_eps = (h_hat if top == 0 else float(top_s(xhat))) - L_top * M - eps
-            theta = z[n2:].reshape(N, n)
             if adapts:
-                if t != row_t:
-                    row_t, row = t, law_row(t)
-                    coef = law_coef(row)
+                if i == refill:
+                    block_start, refill = i, i + _TABLE_BLOCK
+                    grid, table = _basis_block(law, times[i:refill + 1].tolist(), grid, table)
+                row = grid[i - block_start]
+                theta = z[n2:].reshape(N, n)
                 tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
             if not math.isfinite(coeffs.b):
@@ -343,6 +356,24 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         raise RunError(f"column {bad_name} became non-finite at t={t:.6g}",
                        _sample_dict(t, trace.x[bad_row], trace.xhat[bad_row], tr_u[bad_row]))
     return trace
+
+
+def _basis_block(law: AdaptiveState, ts: list, grid: list, table: dict) -> tuple[list, dict]:
+    """Basis rows at the grid times ts, and the law's coefficient at every
+    RK4 stage time of the steps between them, keyed by time: each grid time
+    and each midpoint t + 0.5 (t_next - t), the expression rk4_step uses.
+    Stage 4 lands on t_next, since t_next - t is exact on a time_grid. A
+    block after the first starts at the last grid time of the one before,
+    whose row and coefficient are carried over from grid and table, so
+    every distinct stage time is evaluated once."""
+    mids = [t + 0.5 * (t_next - t) for t, t_next in zip(ts, ts[1:])]
+    k = 1 if grid else 0
+    fresh = ts[k:] + mids
+    rows = law.basis_rows(fresh)
+    new_table = dict(zip(fresh, law.coefficient(rows)))
+    if k:
+        new_table[ts[0]] = table[ts[0]]
+    return grid[-1:] + list(rows[:len(ts) - k]), new_table
 
 
 def _sample_dict(t: float, x: Vector, xhat: Vector, u: Vector) -> dict:

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import signal
@@ -253,6 +254,8 @@ def _polyline_reference(traces: list[tuple[str, SimTrace]], quantity: str) -> li
     x_pad = 0.05 * (x_hi - x_lo) or 0.5
     y_pad = 0.05 * (y_hi - y_lo) or 0.5
     x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
+    if x_lo == x_hi:
+        x_lo, x_hi = math.nextafter(x_lo, -math.inf), math.nextafter(x_hi, math.inf)
     y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
 
     def px(v: float) -> float:
@@ -276,7 +279,6 @@ def _traces(draw) -> SimTrace:
     rows = draw(hst.integers(1, 150))  # 150 rows span three of emit_csv's 64-row blocks
     f = draw(hnp.arrays(np.float64, (rows, 12), elements=_FLOATS))
     b = draw(hnp.arrays(np.bool_, (rows, 2)))
-    f[0, 0] = 0.0  # t starts at 0, so the x axis spans more than its padding rounds away
     return SimTrace(t=f[:, 0], x=f[:, 1:2], xhat=f[:, 2:3], u=f[:, 3:4], h_true=f[:, 4], h0=f[:, 5],
                     barrier_eps=f[:, 6], residual=f[:, 7], M=f[:, 8], theta_norms=f[:, 9:12],
                     qp_active=b[:, 0], qp_feasible=b[:, 1])
@@ -406,13 +408,30 @@ def test_strict_gate_at_the_cli(tmp_path, capsys, doc, args, code):
         assert captured.err == "error: unknown config key 'strict_feasibility'\n"
         assert not out_dir.exists()
         return
-    bound = "nan" if doc is not None and "1e308" in doc else "-1.53333"
-    assert lines[0].startswith(f"warning: epsilon bound {bound} is non-positive")
+    nan = doc is not None and "1e308" in doc
+    bound, verdict = ("nan", "is not a number") if nan else ("-1.53333", "is non-positive")
+    assert lines[0].startswith(f"warning: epsilon bound {bound} {verdict};")
     if code == 2:
         assert lines[1:] == ["strict feasibility check failed; not running"]
         assert not out_dir.exists()
     else:
         assert (out_dir / "example1b_h.svg").exists()
+
+
+@pytest.mark.parametrize("xhat0,line", [
+    ([5, 1e308, 1e308], "warning: epsilon bound nan is not a number; no feasible epsilon exists "
+                        "for this initial data (configured epsilon=0.1)"),
+    (None, "warning: epsilon bound -6.85505 is non-positive; no feasible epsilon exists "
+           "for this initial data (configured epsilon=0.1)"),
+], ids=["nan", "non-positive"])
+def test_epsilon_verdict_names_a_nan_bound(xhat0, line):
+    # NaN is not non-positive: its verdict says the bound is not a number
+    cfg = make_preset("example1c").cfg
+    if xhat0 is not None:
+        cfg = apply_overrides(cfg, {"xhat0": xhat0})
+    out = io.StringIO()
+    assert _print_feasibility(cfg, out) is False
+    assert out.getvalue() == line + "\n"
 
 
 def test_run_preset_nonstrict_warns_but_runs(tmp_path, capsys):

@@ -158,3 +158,20 @@ def test_derived_constants_follow_replace():
     assert [w for _, w in replace(st, omega=2.5).terms] == [2.5, 2.5, 5.0]
     with pytest.raises(ValueError):
         replace(st, gain=np.zeros(3))  # derived, not settable
+
+
+def test_basis_rows_and_coefficients_match_one_row_at_a_time():
+    # run_simulation's block tables: each row and each coefficient column is
+    # the same double as the single-row path gives at that time
+    st = AdaptiveState(theta_hat=np.zeros((5, 2)), theta_bar=np.array([0.5, 1.0, 2.0, 0.3, 0.7]),
+                       epsilon=0.1, mu=1.0, omega=0.7)
+    ts = time_grid(2.3004, 1e-3).tolist()
+    ts += [t + 0.5 * (t_next - t) for t, t_next in zip(ts, ts[1:])]
+    rows = st.basis_rows(ts)
+    coefs = st.coefficient(rows)
+    assert rows.shape == (len(ts), 5) and coefs.shape == (len(ts), 5, 1)
+    for t, row, coef in zip(ts, rows, coefs):
+        one = st.basis_row(t)
+        assert row.tobytes() == one.tobytes() == basis_row(5, 0.7, t).tobytes(), t
+        assert coef.tobytes() == st.coefficient(one).tobytes(), t
+    assert st.basis_rows([]).shape == (0, 5) and st.coefficient(st.basis_rows([])).shape == (0, 5, 1)

@@ -480,11 +480,12 @@ def test_per_row_work_stays_removed(monkeypatch, name):
     # chain level is evaluated at xhat at most once per row: s_0 at x
     # (h_true) and at xhat (h0, the baseline row), the top level at xhat
     # (barrier_eps, the proposed row) and the middle levels never; on the
-    # r = 1 barrier s_0 is the top level and serves both at xhat. The basis
-    # row is taken once per distinct stage time on proposed rows (t, then
-    # t + dt/2 shared by stages 2 and 3, with t + dt reused by the next row)
-    # and never on baseline rows
-    counts = {"value": 0, "derivative": 0, "adaptive_state": 0, "basis_row": 0}
+    # r = 1 barrier s_0 is the top level and serves both at xhat. One basis
+    # row is evaluated per distinct stage time on proposed runs (each grid
+    # time t and each midpoint t + dt/2, shared by stages 2 and 3; stage 4
+    # lands on the next grid time), counting the block tables' rows and any
+    # single row, and none on baseline runs
+    counts = {"value": 0, "derivative": 0, "adaptive_state": 0}
     cfg = make_preset(name).cfg
     chain = cfg.barrier
     levels = [0] * chain.r
@@ -505,22 +506,94 @@ def test_per_row_work_stays_removed(monkeypatch, name):
         post_init(self)
 
     monkeypatch.setattr(AdaptiveState, "__post_init__", counting_post_init)
-    basis_row = AdaptiveState.basis_row
-
-    def counting_basis_row(self, t):
-        counts["basis_row"] += 1
-        return basis_row(self, t)
-
-    monkeypatch.setattr(AdaptiveState, "basis_row", counting_basis_row)
+    basis = _counting_basis(monkeypatch)
     for controller, proposed in (("proposed", True), ("baseline", False)):
         run_cfg = replace(cfg, controller=controller)
-        counts.update(value=0, derivative=0, adaptive_state=0, basis_row=0)
+        counts.update(value=0, derivative=0, adaptive_state=0)
+        basis["rows"] = 0
         levels[:] = [0] * chain.r
         rows = len(run_simulation(run_cfg))
         assert rows == 51
-        assert counts == {"value": rows, "derivative": rows if proposed else 0, "adaptive_state": 0,
-                          "basis_row": 2 * rows - 1 if proposed else 0}
+        assert counts == {"value": rows, "derivative": rows if proposed else 0, "adaptive_state": 0}
+        assert basis["rows"] == (2 * rows - 1 if proposed else 0)
         assert levels == ([2 * rows] if chain.r == 1 else [2 * rows] + [0] * (chain.r - 2) + [rows])
+
+
+def _counting_basis(monkeypatch) -> dict:
+    """Count the basis rows evaluated, one at a time or in block tables."""
+    counts = {"rows": 0}
+    basis_row, basis_rows = AdaptiveState.basis_row, AdaptiveState.basis_rows
+
+    def counting_basis_row(self, t):
+        counts["rows"] += 1
+        return basis_row(self, t)
+
+    def counting_basis_rows(self, ts):
+        counts["rows"] += len(ts)
+        return basis_rows(self, ts)
+
+    monkeypatch.setattr(AdaptiveState, "basis_row", counting_basis_row)
+    monkeypatch.setattr(AdaptiveState, "basis_rows", counting_basis_rows)
+    return counts
+
+
+@pytest.mark.parametrize("rows,short", [
+    ("B-1", False), ("B", False), ("B+1", False), ("2B+1", False), ("B+1", True)])
+def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
+    # runs ending just before, on and after a block seam, and one whose last
+    # step is shortened, emit the same CSV with one step per table, the
+    # default block and one table for the whole run; every distinct stage
+    # time is still evaluated once
+    B = simloop._TABLE_BLOCK
+    rows = {"B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[rows]
+    t_end = (rows - 1) * 0.01 - (0.0055 if short else 0.0)
+    cfg = replace(make_preset("example2").cfg, t_end=t_end, dt=0.01)
+    counts = _counting_basis(monkeypatch)
+    csvs = set()
+    for block in (1, B, rows):
+        monkeypatch.setattr(simloop, "_TABLE_BLOCK", block)
+        counts["rows"] = 0
+        trace = run_simulation(cfg)
+        assert len(trace) == rows and trace.t[-1] == t_end
+        assert counts["rows"] == 2 * rows - 1, block
+        csvs.add(emit_csv(trace))
+    assert len(csvs) == 1
+
+
+def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch):
+    # the proposed rhs takes the law's coefficient at a stage time from the
+    # current table, and at any other time from coefficient(basis_row(t)):
+    # the same doubles either way
+    captured = {}
+    problem_cls, basis_block = simloop.OdeProblem, simloop._basis_block
+
+    def capturing_problem(dim, rhs):
+        captured["rhs"] = rhs
+        return problem_cls(dim=dim, rhs=rhs)
+
+    def capturing_block(*args):
+        captured["grid"], captured["table"] = basis_block(*args)
+        return captured["grid"], captured["table"]
+
+    monkeypatch.setattr(simloop, "OdeProblem", capturing_problem)
+    monkeypatch.setattr(simloop, "_basis_block", capturing_block)
+    cfg = make_preset("example1a").cfg
+    cfg = replace(cfg, t_end=0.05, adaptive0=replace(cfg.adaptive0, theta_hat=THETA0_OFF_DEFAULT, omega=0.7))
+    counts = _counting_basis(monkeypatch)
+    run_simulation(cfg)
+    rhs, table = captured["rhs"], captured["table"]
+    assert len(table) == 2 * 51 - 1  # one block: every stage time of the run
+    z = np.concatenate([cfg.x0, cfg.xhat0, THETA0_OFF_DEFAULT.ravel()])
+    law = cfg.adaptive0
+    for t in sorted(table)[-3:]:  # the last two grid times and the midpoint between them
+        assert table[t].tobytes() == law.coefficient(law.basis_row(t)).tobytes()
+        counts["rows"] = 0
+        from_table = rhs(t, z)
+        assert counts["rows"] == 0
+        del table[t]
+        on_the_spot = rhs(t, z)
+        assert counts["rows"] == 1
+        assert on_the_spot.tobytes() == from_table.tobytes()
 
 
 def test_non_finite_column_is_run_error():
