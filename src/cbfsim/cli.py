@@ -132,6 +132,24 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#8c564b", "#e377c2")
 _SVG_W, _SVG_H, _SVG_MARGIN = 800, 500, 60
 
 
+def _axis(lo: float, hi: float) -> tuple[float, float, float]:
+    """Plot bounds for data spanning [lo, hi], padded by 5% of the span (0.5
+    when it is 0), and the power of two the data are multiplied by before
+    they are mapped into those bounds. The scale is 1 unless the padded span
+    overflows (data from -1e308 to 1e308, say): then it is 1/4, and the
+    bounds, in scaled units, are clamped to the float range, so every tick,
+    label and point stays finite."""
+    pad = 0.05 * (hi - lo) or 0.5
+    lo_p, hi_p = lo - pad, hi + pad
+    if lo_p == hi_p:  # every value is one too large for the 0.5 pad to move
+        lo_p, hi_p = math.nextafter(lo_p, -math.inf), math.nextafter(hi_p, math.inf)
+    if math.isfinite(hi_p - lo_p):
+        return lo_p, hi_p, 1.0
+    lo, hi, cap = 0.25 * lo, 0.25 * hi, 0.25 * sys.float_info.max
+    pad = 0.05 * (hi - lo)
+    return max(lo - pad, -cap), min(hi + pad, cap), 0.25
+
+
 def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
     """Render quantity-vs-time polylines for the given traces as SVG.
 
@@ -148,17 +166,11 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
             raise ValueError(f"unknown quantity {quantity!r}; valid: {', '.join(cols)}")
         series.append((str(label), trace.t, np.asarray(cols[quantity], dtype=float)))
 
-    x_lo = min(float(t.min()) for _, t, _ in series)
-    x_hi = max(float(t.max()) for _, t, _ in series)
-    y_lo = min(float(q.min()) for _, _, q in series)
-    y_hi = max(float(q.max()) for _, _, q in series)
-    y_lo, y_hi = min(y_lo, 0.0), max(y_hi, 0.0)  # keep the zero line in view
-    x_pad = 0.05 * (x_hi - x_lo) or 0.5
-    y_pad = 0.05 * (y_hi - y_lo) or 0.5
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    if x_lo == x_hi:  # every t is one value too large for the 0.5 pad to move
-        x_lo, x_hi = math.nextafter(x_lo, -math.inf), math.nextafter(x_hi, math.inf)
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi, x_scale = _axis(min(float(t.min()) for _, t, _ in series),
+                                max(float(t.max()) for _, t, _ in series))
+    # keep the zero line in view
+    y_lo, y_hi, y_scale = _axis(min(0.0, min(float(q.min()) for _, _, q in series)),
+                                max(0.0, max(float(q.max()) for _, _, q in series)))
 
     left, top = _SVG_MARGIN, _SVG_MARGIN
     right, bottom = _SVG_W - _SVG_MARGIN, _SVG_H - _SVG_MARGIN
@@ -166,10 +178,10 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
     # px and py map a float or a whole array by the same operations, so a
     # point gets the same double either way
     def px(v):
-        return left + (v - x_lo) / (x_hi - x_lo) * (right - left)
+        return left + (v * x_scale - x_lo) / (x_hi - x_lo) * (right - left)
 
     def py(v):
-        return bottom - (v - y_lo) / (y_hi - y_lo) * (bottom - top)
+        return bottom - (v * y_scale - y_lo) / (y_hi - y_lo) * (bottom - top)
 
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -179,7 +191,7 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
         f'<rect x="{left}" y="{top}" width="{right - left}" height="{bottom - top}" '
         'fill="none" stroke="#333333" stroke-width="1"/>',
     ]
-    for tick in np.linspace(x_lo, x_hi, 6):
+    for tick in np.linspace(x_lo, x_hi, 6) / x_scale:
         x = px(float(tick))
         out.append(
             f'<line x1="{x:.2f}" y1="{bottom}" x2="{x:.2f}" y2="{bottom + 5}" stroke="#333333"/>'
@@ -188,7 +200,7 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
             f'<text x="{x:.2f}" y="{bottom + 20}" font-size="11" text-anchor="middle" '
             f'fill="#333333">{tick:.4g}</text>'
         )
-    for tick in np.linspace(y_lo, y_hi, 6):
+    for tick in np.linspace(y_lo, y_hi, 6) / y_scale:
         y = py(float(tick))
         out.append(
             f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" stroke="#333333"/>'

@@ -108,10 +108,13 @@ class AdaptiveState:
         for K rows, each entry the same double either way."""
         return (self.gain * phis)[..., None]
 
-    def rhs(self, theta_hat: Vector, grad: Vector, coef: np.ndarray) -> Vector:
-        """Derivative of the flat (N n) theta_hat, rows stacked, given grad and
-        coef = coefficient(phis) at t."""
-        return (coef * grad).ravel() - self.mu * theta_hat
+    def rhs(self, theta_hat: np.ndarray, grad: Vector, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Derivative of the (N, n) theta_hat, (coef grad) - mu theta_hat,
+        written into the (N, n) array out and returned, given grad and
+        coef = coefficient(phis) at t. out must not share memory with
+        theta_hat."""
+        np.multiply(coef, grad, out)
+        return np.subtract(out, self.mu * theta_hat, out)
 
 
 def basis_row(N: int, omega: float, t: float) -> Vector:
@@ -136,4 +139,4 @@ def adaptive_rhs(state: AdaptiveState, grad: Vector, t: float) -> np.ndarray:
     if grad.shape != (state.theta_hat.shape[1],):
         raise ValueError("grad length must match the parameter vector length")
     coef = state.coefficient(basis_row(state.N, state.omega, t))
-    return state.rhs(state.theta_hat.ravel(), grad, coef).reshape(state.theta_hat.shape)
+    return state.rhs(state.theta_hat, grad, coef, np.empty_like(state.theta_hat))

@@ -8,8 +8,8 @@ them between steps and checks the new state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -18,29 +18,61 @@ Vector = np.ndarray
 
 @dataclass(frozen=True)
 class OdeProblem:
+    """An ODE z' = rhs(t, z, stage) on float arrays of length dim.
+
+    rk4_step calls rhs once per stage, stage = 0, 1, 2, 3. rhs returns the
+    derivative at (t, z), typically written into an array it keeps for that
+    stage; the step may read each of the four until it ends, so rhs needs a
+    separate array per stage. rhs must neither keep z nor return it or a
+    view of it: from stage 1 on z is the problem's work buffer, which the
+    step overwrites.
+    """
+
     dim: int
-    rhs: Callable[[float, Vector], Vector]
+    rhs: Callable[[float, Vector, int], Vector]
+    # rk4_step's work buffers: the stage state and the weighted sum of the
+    # stage derivatives, sized from dim, and the step's three multipliers
+    # dt/2, dt and dt/6 (a ufunc takes a 0-d array faster than a float)
+    _stage: Vector = field(init=False, repr=False, compare=False)
+    _acc: Vector = field(init=False, repr=False, compare=False)
+    _scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
+        object.__setattr__(self, "_stage", np.empty(self.dim))
+        object.__setattr__(self, "_acc", np.empty(self.dim))
+        object.__setattr__(self, "_scales", (np.empty(()), np.empty(()), np.empty(())))
 
 
-def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float) -> Vector:
-    """One classical 4-stage step from (t, state) with step size dt > 0.
+def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float,
+             out: Optional[Vector] = None) -> Vector:
+    """One classical 4-stage step from (t, state) with step size dt > 0:
+    state + (dt/6) (k1 + (k2 + k2) + (k3 + k3) + k4), written into out (a
+    new array when out is None) and returned.
 
-    state and every rhs return value must be float arrays of length dim.
-    A non-finite rhs value gives a non-finite state, returned as is.
+    state, out and every rhs value are float arrays of length dim. state is
+    not written unless it is out. The stage states and the weighted sum
+    live in the problem's work buffers, so a problem takes one step at a
+    time. A non-finite rhs value gives a non-finite state, returned as is.
     """
-    rhs = problem.rhs
-    half = 0.5 * dt
-    t_mid = t + half
-    k1 = rhs(t, state)
-    k2 = rhs(t_mid, state + half * k1)
-    k3 = rhs(t_mid, state + half * k2)
-    k4 = rhs(t + dt, state + dt * k3)
-    # k + k equals 2.0 * k exactly and skips a multiplication
-    return state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    rhs, stage, acc = problem.rhs, problem._stage, problem._acc
+    half, whole, sixth = problem._scales
+    half.fill(0.5 * dt)
+    whole.fill(dt)
+    sixth.fill(dt / 6.0)
+    t_mid = t + 0.5 * dt
+    k1 = rhs(t, state, 0)
+    np.add(state, np.multiply(half, k1, stage), stage)
+    k2 = rhs(t_mid, stage, 1)
+    np.add(k1, np.add(k2, k2, acc), acc)  # k + k equals 2.0 * k exactly and skips a multiplication
+    np.add(state, np.multiply(half, k2, stage), stage)
+    k3 = rhs(t_mid, stage, 2)
+    np.add(state, np.multiply(whole, k3, stage), stage)
+    k4 = rhs(t + dt, stage, 3)
+    np.add(acc, np.add(k3, k3, stage), acc)
+    np.add(acc, k4, acc)
+    return np.add(state, np.multiply(sixth, acc, acc), out)
 
 
 def time_grid(t_end: float, dt: float) -> np.ndarray:

@@ -64,6 +64,8 @@ class SimConfig:
     argument k omega t finite on [0, t_end] and checks every callable's
     return once at the initial data, so that the loop uses them unchecked
     and unconverted. The epsilon bound there is derived once, on first use.
+    A callable must not keep the arrays it is passed: the loop reuses its
+    state and stage buffers every step.
     """
 
     system: ControlAffineSystem
@@ -255,6 +257,11 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
     u_current = np.zeros(m)  # held control, rebound each step
     theta, row = law.theta_hat, None  # the row's estimates and basis row
+    # The rhs writes stage j's derivative into ks[j], through views of its
+    # blocks made here, once per run; the loop steps z into the other of
+    # two state buffers, so the state a step started from stays intact.
+    dim = n2 + N * n if adapts else n2
+    ks = np.empty((4, dim))
     if adapts:
         # z = (x, xhat, theta_hat), theta_hat flat. The law's coefficient at a
         # stage time comes from the current block's table (see _basis_block);
@@ -263,28 +270,35 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         grid: list = []
         table: dict = {}
         z = np.concatenate([cfg.x0, cfg.xhat0, theta.ravel()])
+        stages = [(k, k[:n], k[n:n2], k[n2:].reshape(N, n)) for k in ks]
 
-        def rhs(t: float, z: Vector) -> Vector:
+        def rhs(t: float, z: Vector, stage: int) -> Vector:
+            k, dx, dxhat, dtheta = stages[stage]
             x = z[:n]
             xhat = z[n:n2]
-            dx = drift(x) + input_map(x).dot(u_current)
-            dxhat = obs_rhs(xhat, output_map(x), u_current, t)
+            np.add(drift(x), input_map(x).dot(u_current), dx)
+            dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
             coef = table.get(t)
             if coef is None:
                 coef = law_coef(law_row(t))
-            return np.concatenate((dx, dxhat, law_rhs(z[n2:], grad_fn(xhat), coef)))
+            law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), coef, dtheta)
+            return k
     else:
         # z = (x, xhat): theta_hat stays as it started, so it is not integrated
         z = np.concatenate([cfg.x0, cfg.xhat0])
+        stages = [(k, k[:n], k[n:]) for k in ks]
 
-        def rhs(t: float, z: Vector) -> Vector:
+        def rhs(t: float, z: Vector, stage: int) -> Vector:
+            k, dx, dxhat = stages[stage]
             x = z[:n]
-            dx = drift(x) + input_map(x).dot(u_current)
-            return np.concatenate((dx, obs_rhs(z[n:], output_map(x), u_current, t)))
+            np.add(drift(x), input_map(x).dot(u_current), dx)
+            dxhat[...] = obs_rhs(z[n:], output_map(x), u_current, t)
+            return k
 
+    z_next = np.empty_like(z)
     zero_z = np.zeros_like(z)
 
-    problem = OdeProblem(dim=z.shape[0], rhs=rhs)
+    problem = OdeProblem(dim=dim, rhs=rhs)
     hold = cfg.on_infeasible == "hold"
     u_nominal = cfg.u_nominal
     eps = law.epsilon
@@ -330,7 +344,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
             if i == S - 1:
                 break
-            z = rk4_step(problem, t, z, times.item(i + 1) - t)
+            z, z_next = rk4_step(problem, t, z, times.item(i + 1) - t, z_next), z
             # 0 * v is +-0 for every finite v and NaN for +-inf or NaN, so the
             # dot is finite exactly when every entry of z is
             if not math.isfinite(z.dot(zero_z)):

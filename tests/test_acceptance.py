@@ -95,7 +95,7 @@ def test_criterion_05_qp_oracle_equivalence(qp_battery, criterion):
 
 
 def test_criterion_06_integrator_order(criterion):
-    problem = OdeProblem(dim=1, rhs=lambda t, x: -x)
+    problem = OdeProblem(dim=1, rhs=lambda t, x, stage: -x)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         final = np.ones(1)

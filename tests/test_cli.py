@@ -226,6 +226,31 @@ def test_svg_constant_series_is_flat():
     assert len(set(pts[:, 1])) == 1
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-1.75e308, 0.0), (0.0, _FLOAT_MAX),
+                                    (-_FLOAT_MAX, _FLOAT_MAX)])
+def test_svg_of_a_span_beyond_the_float_range_is_finite(lo, hi):
+    # hi - lo, or the padded bounds, overflow: the plot still draws finite
+    # ticks and points (and warns nothing, which pytest makes an error)
+    trace = SimTrace(
+        t=np.array([0.0, 1.0]), x=np.ones((2, 1)), xhat=np.ones((2, 1)), u=np.zeros((2, 1)),
+        h_true=np.array([lo, hi]), h0=np.zeros(2), barrier_eps=np.zeros(2), residual=np.zeros(2),
+        M=np.zeros(2), theta_norms=np.zeros((2, 1)), qp_active=np.zeros(2, dtype=bool),
+        qp_feasible=np.ones(2, dtype=bool),
+    )
+    svg = emit_plot([("wide", trace)], "h_true")
+    assert "nan" not in svg and "inf" not in svg
+    y_labels = [float(v) for v in re.findall(r'text-anchor="end" fill="#333333">([^<]*)</text>', svg)]
+    assert len(y_labels) == 6 and y_labels == sorted(y_labels)
+    assert y_labels[0] <= lo and y_labels[-1] >= hi
+    (_, pts), = _polylines(svg)
+    # the first point is the lower one, and both lie inside the plot's frame
+    assert 60 <= pts[1, 1] < pts[0, 1] <= 440
+    assert pts[1, 1] <= _zero_line_y(svg) <= pts[0, 1]
+
+
 def test_svg_determinism(preset_runs):
     run = preset_runs["example1a"]
     pair = [("proposed", run["proposed"]), ("baseline", run["baseline"])]

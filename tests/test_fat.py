@@ -93,7 +93,7 @@ def test_leak_decay_norm():
     mu = 2.0
     th0 = np.array([[1.0, -2.0], [0.5, 0.25]])
 
-    def rhs(t, z):
+    def rhs(t, z, stage):
         return adaptive_rhs(_state(z.reshape(2, 2), mu=mu), np.zeros(2), t).ravel()
 
     problem = OdeProblem(dim=4, rhs=rhs)

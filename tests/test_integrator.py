@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
 from cbfsim.dynamics import EXAMPLE1_A
@@ -9,7 +12,7 @@ from cbfsim.integrator import OdeProblem, rk4_step, time_grid
 
 
 def test_zero_field_fixed_point():
-    prob = OdeProblem(dim=3, rhs=lambda t, x: np.zeros(3))
+    prob = OdeProblem(dim=3, rhs=lambda t, x, stage: np.zeros(3))
     s = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(rk4_step(prob, 0.0, s, 0.1), s)
 
@@ -17,13 +20,13 @@ def test_zero_field_fixed_point():
 def test_single_step_exponential():
     # x' = x, x(0)=1, dt=0.1: the 4-stage update is the degree-4 Taylor
     # polynomial of e^0.1 = 1 + .1 + .1^2/2 + .1^3/6 + .1^4/24.
-    prob = OdeProblem(dim=1, rhs=lambda t, x: x)
+    prob = OdeProblem(dim=1, rhs=lambda t, x, stage: x.copy())
     out = rk4_step(prob, 0.0, np.array([1.0]), 0.1)
     assert out[0] == pytest.approx(1.1051708333333333, abs=1e-14)
 
 
 def test_decay_many_steps():
-    prob = OdeProblem(dim=1, rhs=lambda t, x: -x)
+    prob = OdeProblem(dim=1, rhs=lambda t, x, stage: -x)
     x = np.array([1.0])
     for i in range(100):
         x = rk4_step(prob, i * 0.01, x, 0.01)
@@ -31,7 +34,7 @@ def test_decay_many_steps():
 
 
 def test_matches_matrix_exponential():
-    prob = OdeProblem(dim=3, rhs=lambda t, x: EXAMPLE1_A @ x)
+    prob = OdeProblem(dim=3, rhs=lambda t, x, stage: EXAMPLE1_A @ x)
     x0 = np.array([1.0, -1.0, 2.0])
     out = x0
     times = time_grid(1.0, 1e-3)
@@ -42,7 +45,7 @@ def test_matches_matrix_exponential():
 
 def test_fourth_order_convergence():
     # endpoint error against e^{-1} must shrink ~16x per dt halving
-    prob = OdeProblem(dim=1, rhs=lambda t, x: -x)
+    prob = OdeProblem(dim=1, rhs=lambda t, x, stage: -x)
     errs = []
     for dt in (1e-2, 5e-3, 2.5e-3):
         out = np.array([1.0])
@@ -56,13 +59,58 @@ def test_fourth_order_convergence():
 
 
 def test_determinism():
-    prob = OdeProblem(dim=2, rhs=lambda t, x: np.array([x[1], -x[0]]))
+    prob = OdeProblem(dim=2, rhs=lambda t, x, stage: np.array([x[1], -x[0]]))
     times = time_grid(3.0, 1e-3)
     a = b = np.array([1.0, 0.0])
     for t, t_next in zip(times[:-1], times[1:]):
         a = rk4_step(prob, t, a, t_next - t)
         b = rk4_step(prob, t, b, t_next - t)
     assert a.tobytes() == b.tobytes()
+
+
+def _rk4_reference(f, t, state, dt):
+    """The allocating expression rk4_step computes in place: a new array per
+    stage state and per term of the weighted sum."""
+    half = 0.5 * dt
+    t_mid = t + half
+    k1 = f(t, state)
+    k2 = f(t_mid, state + half * k1)
+    k3 = f(t_mid, state + half * k2)
+    k4 = f(t + dt, state + dt * k3)
+    return state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data(), dim=hst.integers(1, 16), nonlinear=hst.booleans(),
+       t=hst.floats(0.0, 100.0), dt=hst.floats(1e-6, 1.0))
+def test_in_place_step_equals_the_allocating_expression(data, dim, nonlinear, t, dt):
+    values = hst.floats(-10.0, 10.0)
+    state = data.draw(hnp.arrays(np.float64, dim, elements=values))
+    A = data.draw(hnp.arrays(np.float64, (dim, dim), elements=hst.floats(-5.0, 5.0)))
+
+    def f(t, z):
+        return np.sin(z) * z[::-1] + math.cos(t) if nonlinear else A.dot(z)
+
+    ks = np.empty((4, dim))  # one derivative array per stage, as the contract asks
+
+    def rhs(t, z, stage):
+        ks[stage] = f(t, z)
+        return ks[stage]
+
+    prob = OdeProblem(dim=dim, rhs=rhs)
+    before = state.tobytes()
+    first, second = np.empty(dim), np.empty(dim)
+    assert rk4_step(prob, t, state, dt, out=first) is first
+    assert state.tobytes() == before  # state is never written
+    assert first.tobytes() == _rk4_reference(f, t, state, dt).tobytes()
+    # the next step reuses every work buffer; it leaves the last result intact
+    kept = first.tobytes()
+    assert rk4_step(prob, t + dt, first, dt, out=second) is second
+    assert first.tobytes() == kept
+    assert second.tobytes() == _rk4_reference(f, t + dt, first, dt).tobytes()
+    # without out the result is a new array, bit for bit the same
+    fresh = rk4_step(prob, t, state, dt)
+    assert fresh.tobytes() == kept and not np.shares_memory(fresh, first)
 
 
 def test_empty_interval():
@@ -95,7 +143,7 @@ def test_time_grid_step_longer_than_the_span_lands_on_t_end():
 
 def test_nonfinite_rhs_state_is_returned():
     # rk4_step only does the arithmetic; run_simulation checks the state
-    prob = OdeProblem(dim=1, rhs=lambda t, x: x * np.inf)
+    prob = OdeProblem(dim=1, rhs=lambda t, x, stage: x * np.inf)
     out = rk4_step(prob, 2.0, np.array([1.0]), 0.1)
     assert out.shape == (1,)
     assert not np.isfinite(out).any()

@@ -151,7 +151,7 @@ def test_estimation_error_within_bound_closed_loop():
     obs = make_luenberger(make_example1_system(), LUENBERGER_GAIN, bound)
     u = np.zeros(1)
 
-    def rhs(t, z):
+    def rhs(t, z, stage):
         x, xhat = z[:3], z[3:]
         y = EXAMPLE1_C @ x
         return np.concatenate([EXAMPLE1_A @ x, obs.rhs(xhat, y, u, t)])

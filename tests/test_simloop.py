@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import pickle
@@ -370,9 +371,9 @@ def _run_capturing_states(monkeypatch, cfg: SimConfig) -> tuple[RunError, np.nda
     states = []
     step = simloop.rk4_step
 
-    def capturing(problem, t, z, dt):
-        states.append(step(problem, t, z, dt))
-        return states[-1]
+    def capturing(problem, t, z, dt, out):
+        states.append(step(problem, t, z, dt, out).copy())  # out is reused two steps on
+        return out
 
     monkeypatch.setattr(simloop, "rk4_step", capturing)
     with pytest.raises(RunError) as exc:
@@ -588,12 +589,13 @@ def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch)
     for t in sorted(table)[-3:]:  # the last two grid times and the midpoint between them
         assert table[t].tobytes() == law.coefficient(law.basis_row(t)).tobytes()
         counts["rows"] = 0
-        from_table = rhs(t, z)
+        # both calls write stage 0's buffer, so keep the first result's bytes
+        from_table = rhs(t, z, 0).tobytes()
         assert counts["rows"] == 0
         del table[t]
-        on_the_spot = rhs(t, z)
+        on_the_spot = rhs(t, z, 0)
         assert counts["rows"] == 1
-        assert on_the_spot.tobytes() == from_table.tobytes()
+        assert on_the_spot.tobytes() == from_table
 
 
 def test_non_finite_column_is_run_error():
@@ -654,3 +656,26 @@ def test_adaptive_path_off_preset_defaults_pinned(name):
     for controller, trace in runs.items():
         digest = hashlib.sha256(emit_csv(trace).encode()).hexdigest()
         assert digest == ADAPTIVE_PATH_SHA256[(name, controller)], controller
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_runs_share_no_memory_with_each_other(controller):
+    # every run allocates its own state, stage and work buffers, and its
+    # trace holds copies: a second run leaves the first trace as it was
+    cfg = replace(make_preset("example2").cfg, t_end=0.05, controller=controller)
+    first = run_simulation(cfg)
+    first_csv = emit_csv(first)
+    second = run_simulation(cfg)
+    for field in dataclasses.fields(first):
+        a, b = getattr(first, field.name), getattr(second, field.name)
+        assert not np.shares_memory(a, b), field.name
+    assert emit_csv(first) == first_csv == emit_csv(second)
+
+
+@pytest.mark.parametrize("controller", ["proposed", "baseline"])
+def test_output_map_returning_a_view_of_the_state_gives_the_same_bytes(controller):
+    # y = x[:1] is a view into the stage state the loop reuses; the observer
+    # reads it at once, so the run matches the preset's copying output map
+    cfg = replace(make_preset("example2").cfg, t_end=0.2, controller=controller)
+    view = replace(cfg, system=replace(cfg.system, output_map=lambda x: x[:1]))
+    assert emit_csv(run_simulation(view)) == emit_csv(run_simulation(cfg))
