@@ -39,10 +39,9 @@ class BarrierChain:
     """Lifted chain s_0..s_{r-1} for a barrier of relative degree r = len(s).
 
     L_k holds one Lipschitz constant per level; each must dominate
-    ||grad_s_k|| on the operating region (the presets use exact values for
-    their linear levels). Chains are supplied explicitly, hand-derived with
-    the roots lambda_k folded in; nothing symbolic. r = 1 is the plain
-    barrier, BarrierChain(s=(h,), grad_s=(grad_h,), L_k=(L,)).
+    ||grad_s_k|| on the operating region. A level is any callable with the
+    roots lambda_k folded in, or derived by BarrierChain.affine. r = 1 is
+    the plain barrier, BarrierChain(s=(h,), grad_s=(grad_h,), L_k=(L,)).
     """
 
     s: Sequence[Callable[[Vector], float]]
@@ -65,6 +64,48 @@ class BarrierChain:
         """Relative degree of the chain: its number of levels."""
         return len(self.s)
 
+    @classmethod
+    def affine(cls, c0, d0: float, lambdas: Sequence[float] = (), A=None) -> BarrierChain:
+        """h(x) = c0 . x + d0 lifted along the drift A x, given exactly when
+        lambdas is: level k is c_k . x + d_k, c_k = A^T c_{k-1} + lambda_k c_{k-1},
+        d_k = lambda_k d_{k-1}. grad_s_k is the read-only c_k, L_k = ||c_k||."""
+        c, d, lambdas = np.array(c0, dtype=float), float(d0), tuple(map(float, lambdas))
+        if (A is None) != (not lambdas):
+            raise ValueError("A must be given exactly when lambdas is non-empty")
+        n = c.size
+        A = np.array(A, dtype=float) if lambdas else np.zeros((n, n))
+        if c.shape != (n,) or A.shape != (n, n) or not n:
+            raise ValueError(f"c0 must have shape (n,), n >= 1, and A (n, n); got {c.shape} and {A.shape}")
+        check_finite(c0=c, d0=d, A=A, lambdas=lambdas)
+        if any(not lam > 0 for lam in lambdas):
+            raise ValueError("every lambda must be > 0")
+        cs, ds = [c], [d]
+        for lam in lambdas:
+            cs.append(A.T.dot(cs[-1]) + lam * cs[-1])
+            ds.append(lam * ds[-1])
+        check_finite(d_k=ds)  # a large d0 can overflow where c_k and L_k do not
+        for c in cs:  # grad_s_k hands out c_k itself, so writes to it must raise
+            c.flags.writeable = False
+        return cls(s=tuple(map(_affine_level, cs, ds)), grad_s=tuple((lambda x, c=c: c) for c in cs),
+                   L_k=tuple(math.sqrt(float(c.dot(c))) for c in cs))
+
+
+def _affine_level(c: Vector, d: float) -> Callable[[Vector], float]:
+    """x -> c . x + d on Python floats, c's nonzero terms in index order, then
+    d: the written-out formula's bits, never reading a coordinate whose
+    coefficient is 0. (c = 0 gets one zero term; its L = 0 is rejected.)"""
+    (j0, c0), *rest = [(j, cj) for j, cj in enumerate(c.tolist()) if cj != 0.0] or [(0, 0.0)]
+    if not rest:  # a coordinate level, the commonest, without the loop
+        return lambda x: x.item(j0) * c0 + d
+
+    def level(x: Vector) -> float:
+        v = x.tolist()
+        acc = v[j0] * c0
+        for j, cj in rest:
+            acc += v[j] * cj
+        return acc + d
+    return level
+
 
 @dataclass(slots=True)
 class ConstraintCoeffs:
@@ -82,11 +123,6 @@ class ConstraintCoeffs:
         return float(self.a.dot(u)) + self.b
 
 
-def _epsilon_denominator(state0: AdaptiveState) -> float:
-    norms = np.linalg.norm(state0.theta_hat, axis=1)
-    return float(state0.N + np.sum(2.0 * norms / state0.theta_bar + norms ** 2 / state0.theta_bar ** 2))
-
-
 def epsilon_bound_rdr(
     chain: BarrierChain, xhat0: Vector, bound: ErrorBoundModel, state0: AdaptiveState,
 ) -> float:
@@ -101,7 +137,8 @@ def epsilon_bound_rdr(
     levels = [float(s(xhat0)) - L * M0 for s, L in zip(chain.s, chain.L_k)]
     # min drops a NaN unless it comes first; a NaN level must not pass
     worst = math.nan if any(map(math.isnan, levels)) else min(levels)
-    return worst / _epsilon_denominator(state0)
+    norms, tb = np.linalg.norm(state0.theta_hat, axis=1), state0.theta_bar
+    return worst / float(state0.N + np.sum(2.0 * norms / tb + norms ** 2 / tb ** 2))
 
 
 def constraint_rdr(

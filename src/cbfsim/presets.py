@@ -24,13 +24,12 @@ failure) is visible in the traces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import BarrierChain
-from .dynamics import make_example1_system, make_rossler_system
+from .dynamics import EXAMPLE1_A, make_example1_system, make_rossler_system
 from .fat import AdaptiveState
 from .observer import ErrorBoundModel, make_luenberger, make_rossler_observer
 from .simloop import SimConfig
@@ -39,41 +38,6 @@ from .simloop import SimConfig
 # A - gain C is Hurwitz (eigenvalues -2.146 +/- 1.057i, -0.747); the
 # estimation error then decays and stays inside the exponential bound.
 LUENBERGER_GAIN = np.array([[2.23029], [-0.190287], [-0.232326]])
-
-
-def _read_only(values) -> np.ndarray:
-    """A float array that raises ValueError on writes, so that a constant
-    gradient can hand out the same array on every call."""
-    arr = np.array(values, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-# Gradient of the barriers x2 >= 1 (example1a) and x2 >= -1 (example2).
-_GRAD_X2 = _read_only([0.0, 1.0, 0.0])
-
-# Chain for the example-1 barrier x1 >= 1 on the linear plant, each level
-# s_k = (d/dt + lambda_k) s_{k-1} along the drift A x with lambda_k = 2:
-#   s0 = x1 - 1,
-#   s1 = grad_s0 . A x + 2 s0 = x1 + 2 x2 - 2 x3 - 2,
-#   s2 = grad_s1 . A x + 2 s1 = -x1 + 4 x2 - 2 x3 - 4.
-# grad_s0 . B = grad_s1 . B = 0 and grad_s2 . B = 2: the barrier has relative
-# degree 3, so only the full three-level chain puts u into the top row.
-# L holds the exact gradient norms. The gradients are constant.
-EXAMPLE1_CHAIN_S = (
-    lambda x: x[0] - 1.0,
-    lambda x: x[0] + 2.0 * x[1] - 2.0 * x[2] - 2.0,
-    lambda x: -x[0] + 4.0 * x[1] - 2.0 * x[2] - 4.0,
-)
-_GRAD_S0 = _read_only([1.0, 0.0, 0.0])
-_GRAD_S1 = _read_only([1.0, 2.0, -2.0])
-_GRAD_S2 = _read_only([-1.0, 4.0, -2.0])
-EXAMPLE1_CHAIN_GRAD = (
-    lambda x: _GRAD_S0,
-    lambda x: _GRAD_S1,
-    lambda x: _GRAD_S2,
-)
-EXAMPLE1_CHAIN_L = (1.0, 3.0, math.sqrt(21.0))
 
 ROSSLER_PARAMS = (0.2, 0.2, 5.0)
 ROSSLER_GAINS = dict(q1=3.0, s1=-3.0, r1=3.0, q2=10.0, s2=10.0, r2=10.0, m_exp=3)
@@ -105,8 +69,7 @@ def _example1(barrier: BarrierChain, mu: float, x0, xhat0) -> SimConfig:
 
 def _example1_lifted(r: int) -> SimConfig:
     """example1b (r = 2) and example1c (r = 3): x1 >= 1 through r chain levels."""
-    barrier = BarrierChain(s=EXAMPLE1_CHAIN_S[:r], grad_s=EXAMPLE1_CHAIN_GRAD[:r],
-                           L_k=EXAMPLE1_CHAIN_L[:r])
+    barrier = BarrierChain.affine((1.0, 0.0, 0.0), -1.0, (2.0,) * (r - 1), EXAMPLE1_A)
     return _example1(barrier, mu=10.0, x0=[2.4, -3.0, -3.0], xhat0=[3.4, -2.0, -2.0])
 
 
@@ -114,7 +77,7 @@ def _example2() -> SimConfig:
     system = make_rossler_system(*ROSSLER_PARAMS)
     bound = ErrorBoundModel.exponential(D=2.0, lam=-0.15)
     observer = make_rossler_observer(**ROSSLER_GAINS, params=ROSSLER_PARAMS, bound=bound)
-    barrier = BarrierChain(s=(lambda x: x[1] + 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,))
+    barrier = BarrierChain.affine((0.0, 1.0, 0.0), 1.0)
     return _scenario(system, observer, barrier, mu=2.5, x0=[-0.5, 0.5, 3.0],
                      xhat0=[0.2, 2.0, 3.0], u_d=[-2.0, -2.0, -2.0])
 
@@ -122,7 +85,7 @@ def _example2() -> SimConfig:
 # name -> builder of its SimConfig
 _PRESETS = {
     "example1a": lambda: _example1(
-        BarrierChain(s=(lambda x: x[1] - 1.0,), grad_s=(lambda x: _GRAD_X2,), L_k=(1.0,)),
+        BarrierChain.affine((0.0, 1.0, 0.0), -1.0),
         mu=3.5, x0=[2.0, 2.2, 2.0], xhat0=[3.0, 3.5, 3.0]),
     "example1b": lambda: _example1_lifted(2),
     "example1c": lambda: _example1_lifted(3),

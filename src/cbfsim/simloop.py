@@ -87,7 +87,7 @@ class SimConfig:
         if self.t_end < 0:
             raise ValueError("t_end must be >= 0")
         check_finite(dt=self.dt, t_end=self.t_end, baseline_gamma=self.baseline_gamma)
-        if self.controller not in CONTROLLERS:
+        if not isinstance(self.controller, str) or self.controller not in CONTROLLERS:
             raise ValueError(f"controller must be one of {tuple(CONTROLLERS)}")
         if self.on_infeasible not in INFEASIBLE_MODES:
             raise ValueError("on_infeasible must be 'nominal' or 'hold'")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as hst
 
 from cbfsim import AdaptiveState, BarrierChain, ErrorBoundModel
 from cbfsim.barrier import ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
-from cbfsim.dynamics import eval_drift, eval_input_matrix, make_example1_system
+from cbfsim.dynamics import EXAMPLE1_A, eval_drift, eval_input_matrix, make_example1_system
 from cbfsim.fat import fat_eval
 from cbfsim.presets import PRESET_NAMES, make_preset
 
@@ -20,6 +22,13 @@ CHAIN_1B = BarrierChain(
     grad_s=(lambda x: np.array([1.0, 0.0, 0.0]), lambda x: np.array([1.0, 2.0, -2.0])),
     L_k=(1.0, 3.0),
 )
+
+# The top level of example1c's chain, s2 = grad_s1 . A x + 2 s1, typed out:
+# the presets derive every level with BarrierChain.affine, and this is the
+# one written copy of the formula they must reproduce.
+def s2_1c(x):
+    return -x[0] + 4.0 * x[1] - 2.0 * x[2] - 4.0
+
 
 # example1c lifts the same barrier to its relative degree 3; the checks
 # below run on the preset's own chain object.
@@ -78,11 +87,15 @@ def test_chain_s_values():
 
 def test_chain_recursion_along_drift():
     # each level s_k must equal grad_s_{k-1} . f + lambda_k s_{k-1}
-    # pointwise on the linear plant, with the chain's roots lambda_k = 2
-    lam = (2.0, 2.0)
+    # pointwise on the linear plant: on the presets' chains, whose roots are
+    # lambda_k = 2, and on chains derived at other roots and coefficients
     sys_ = make_example1_system()
     rng = np.random.default_rng(4)
-    for chain in (CHAIN_1B, CHAIN_1C):
+    cases = [(CHAIN_1B, (2.0,)), (CHAIN_1C, (2.0, 2.0)),
+             (BarrierChain.affine((1.0, 0.0, 0.0), -1.0, (2.0, 3.0), EXAMPLE1_A), (2.0, 3.0)),
+             (BarrierChain.affine((0.5, -1.0, 2.0), 0.25, (0.5,), EXAMPLE1_A), (0.5,))]
+    for chain, lam in cases:
+        assert chain.r == len(lam) + 1
         for _ in range(50):
             x = rng.normal(scale=3.0, size=3)
             for k in range(1, chain.r):
@@ -400,6 +413,74 @@ def test_preset_barrier_objects_match_module_constants():
     pb = make_preset("example1b").cfg.barrier
     assert pb.r == 2
     assert pb.s[1](XHAT_1B) == pytest.approx(1.4, abs=1e-14)
+
+
+_E1, _E2 = (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)
+# preset -> (its chain typed out, the BarrierChain.affine arguments that derive it)
+_AFFINE_REFERENCES = {
+    "example1a": (H_1A, (_E2, -1.0)),
+    "example2": (H_EX2, (_E2, 1.0)),
+    "example1b": (CHAIN_1B, (_E1, -1.0, (2.0,), EXAMPLE1_A)),
+    "example1c": (BarrierChain(s=(*CHAIN_1B.s, s2_1c),
+                               grad_s=(*CHAIN_1B.grad_s, lambda x: np.array([-1.0, 4.0, -2.0])),
+                               L_k=(1.0, 3.0, math.sqrt(21.0))),
+                  (_E1, -1.0, (2.0, 2.0), EXAMPLE1_A)),
+}
+
+
+def _bits(level, X) -> bytes:
+    return np.array([float(level(x)) for x in X]).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_AFFINE_REFERENCES))
+def test_affine_chain_equals_hand_typed_chain_bit_for_bit(name):
+    # same operations in the same order, so the same bits: at every scale,
+    # and whatever the coordinates a level's zero coefficients skip hold;
+    # the preset is built from the same data
+    typed, args = _AFFINE_REFERENCES[name]
+    rng = np.random.default_rng(23)
+    for chain in (BarrierChain.affine(*args), make_preset(name).cfg.barrier):
+        assert chain.L_k == typed.L_k
+        for k, level in enumerate(typed.s):
+            np.testing.assert_array_equal(chain.grad_s[k](np.zeros(3)), typed.grad_s[k](np.zeros(3)))
+            for scale in (1.0, 1e300, 1e-300):
+                X = rng.normal(size=(10_000, 3)) * scale
+                assert _bits(chain.s[k], X) == _bits(level, X), (scale, k)
+            skipped = typed.grad_s[k](np.zeros(3)) == 0.0
+            X = rng.normal(size=(1_000, 3))
+            X[:, skipped] = rng.choice([math.inf, -math.inf, math.nan], size=(1_000, int(skipped.sum())))
+            assert _bits(chain.s[k], X) == _bits(level, X), k
+            assert np.isfinite([chain.s[k](x) for x in X]).all()
+
+
+_BAD_AFFINE = {
+    "c0-too-short": (((1.0, 0.0), -1.0, (2.0,), EXAMPLE1_A), "^c0 must have shape"),
+    "c0-empty": (((), -1.0), "^c0 must have shape"),
+    "c0-matrix": ((np.eye(3), -1.0), "^c0 must have shape"),
+    "A-not-square": ((_E1, -1.0, (2.0,), np.ones((3, 2))), "^c0 must have shape"),
+    "A-too-small": ((_E1, -1.0, (2.0,), np.eye(2)), "^c0 must have shape"),
+    "lambdas-without-A": ((_E1, -1.0, (2.0,)), "^A must be given exactly when"),
+    "A-without-lambdas": ((_E1, -1.0, (), EXAMPLE1_A), "^A must be given exactly when"),
+    "c0-nan": (((math.nan, 0.0, 0.0), -1.0), "^c0 must be finite$"),
+    "c0-inf": (((1.0, math.inf, 0.0), -1.0), "^c0 must be finite$"),
+    "d0-nan": ((_E1, math.nan), "^d0 must be finite$"),
+    "d0-inf": ((_E1, -math.inf), "^d0 must be finite$"),
+    "A-inf": ((_E1, -1.0, (2.0,), np.full((3, 3), math.inf)), "^A must be finite$"),
+    "A-nan": ((_E1, -1.0, (2.0,), EXAMPLE1_A * math.nan), "^A must be finite$"),
+    "lambda-nan": ((_E1, -1.0, (2.0, math.nan), EXAMPLE1_A), "^lambdas must be finite$"),
+    "lambda-inf": ((_E1, -1.0, (math.inf,), EXAMPLE1_A), "^lambdas must be finite$"),
+    "lambda-zero": ((_E1, -1.0, (2.0, 0.0), EXAMPLE1_A), "^every lambda must be > 0$"),
+    "lambda-negative": ((_E1, -1.0, (-2.0,), EXAMPLE1_A), "^every lambda must be > 0$"),
+    "c0-zero": (((0.0, 0.0, 0.0), 1.0), "^all L_k must be > 0$"),
+    "d_k-overflow": ((_E1, 1e300, (1e10,), EXAMPLE1_A), "^d_k must be finite$"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_AFFINE))
+def test_affine_rejects_bad_data(case):
+    args, message = _BAD_AFFINE[case]
+    with pytest.raises(ValueError, match=message):
+        BarrierChain.affine(*args)
 
 
 def test_chain_validation():

@@ -35,8 +35,9 @@ def _cfg_1a() -> SimConfig:
 
 def test_config_validation():
     cfg = _cfg_1a()
-    with pytest.raises(ValueError):
-        replace(cfg, controller="pid")
+    for controller in ("pid", ["proposed"]):
+        with pytest.raises(ValueError, match="^controller must be one of"):
+            replace(cfg, controller=controller)
     with pytest.raises(ValueError):
         replace(cfg, on_infeasible="skip")
     with pytest.raises(ValueError):
