@@ -164,7 +164,9 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
         cols = trace.columns()
         if quantity not in cols:
             raise ValueError(f"unknown quantity {quantity!r}; valid: {', '.join(cols)}")
-        series.append((str(label), trace.t, np.asarray(cols[quantity], dtype=float)))
+        # the legend's text escaped as XML character data
+        label = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        series.append((label, trace.t, np.asarray(cols[quantity], dtype=float)))
 
     x_lo, x_hi, x_scale = _axis(min(float(t.min()) for _, t, _ in series),
                                 max(float(t.max()) for _, t, _ in series))

@@ -46,8 +46,9 @@ class AdaptiveState:
     value is theoretically valid; no preset changes the default) and E
     bounds the norm of the truncated tail.
 
-    The gains -theta_bar_i^2 / (2 epsilon) and the basis terms are derived
-    once per construction, so `dataclasses.replace` recomputes them.
+    The gains -theta_bar_i^2 / (2 epsilon), mu as a 0-d array and the basis
+    terms are derived once per construction, so `dataclasses.replace`
+    recomputes them.
     `coefficient` and `rhs` do only the math and check nothing;
     `adaptive_rhs` is the validating entry point for direct callers.
     """
@@ -59,6 +60,7 @@ class AdaptiveState:
     omega: float = 1.0
     E: float = 0.0
     gain: Vector = field(init=False, repr=False, compare=False)
+    _mu: Vector = field(init=False, repr=False, compare=False)  # 0-d: a ufunc takes it faster
     terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -86,6 +88,7 @@ class AdaptiveState:
         object.__setattr__(self, "theta_hat", th)
         object.__setattr__(self, "theta_bar", tb)
         object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "_mu", np.array(float(self.mu)))
         object.__setattr__(self, "terms", _series_terms(th.shape[0], self.omega))
 
     @property
@@ -108,13 +111,15 @@ class AdaptiveState:
         for K rows, each entry the same double either way."""
         return (self.gain * phis)[..., None]
 
-    def rhs(self, theta_hat: np.ndarray, grad: Vector, coef: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def rhs(self, theta_hat: np.ndarray, grad: Vector, coef: np.ndarray,
+            out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
         """Derivative of the (N, n) theta_hat, (coef grad) - mu theta_hat,
         written into the (N, n) array out and returned, given grad and
-        coef = coefficient(phis) at t. out must not share memory with
-        theta_hat."""
+        coef = coefficient(phis) at t. scratch, an (N, n) array the caller
+        owns, receives mu theta_hat. Neither out nor scratch may share
+        memory with theta_hat or with each other."""
         np.multiply(coef, grad, out)
-        return np.subtract(out, self.mu * theta_hat, out)
+        return np.subtract(out, np.multiply(self._mu, theta_hat, scratch), out)
 
 
 def basis_row(N: int, omega: float, t: float) -> Vector:
@@ -139,4 +144,5 @@ def adaptive_rhs(state: AdaptiveState, grad: Vector, t: float) -> np.ndarray:
     if grad.shape != (state.theta_hat.shape[1],):
         raise ValueError("grad length must match the parameter vector length")
     coef = state.coefficient(basis_row(state.N, state.omega, t))
-    return state.rhs(state.theta_hat, grad, coef, np.empty_like(state.theta_hat))
+    th = state.theta_hat
+    return state.rhs(th, grad, coef, np.empty_like(th), np.empty_like(th))

@@ -23,16 +23,18 @@ class OdeProblem:
     rk4_step calls rhs once per stage, stage = 0, 1, 2, 3. rhs returns the
     derivative at (t, z), typically written into an array it keeps for that
     stage; the step may read each of the four until it ends, so rhs needs a
-    separate array per stage. rhs must neither keep z nor return it or a
-    view of it: from stage 1 on z is the problem's work buffer, which the
-    step overwrites.
+    separate array per stage. rhs must not return z or a view of it, nor
+    rely on z's values once it returns: from stage 1 on z is the problem's
+    work buffer, which the step overwrites. Views of z that rhs keeps it
+    must read afresh on each call.
     """
 
     dim: int
     rhs: Callable[[float, Vector, int], Vector]
     # rk4_step's work buffers: the stage state and the weighted sum of the
     # stage derivatives, sized from dim, and the step's three multipliers
-    # dt/2, dt and dt/6 (a ufunc takes a 0-d array faster than a float)
+    # dt/2, dt and dt/6 (a ufunc takes a 0-d array faster than a float),
+    # NaN until the first step fills them
     _stage: Vector = field(init=False, repr=False, compare=False)
     _acc: Vector = field(init=False, repr=False, compare=False)
     _scales: tuple = field(init=False, repr=False, compare=False)
@@ -42,7 +44,7 @@ class OdeProblem:
             raise ValueError("dim must be positive")
         object.__setattr__(self, "_stage", np.empty(self.dim))
         object.__setattr__(self, "_acc", np.empty(self.dim))
-        object.__setattr__(self, "_scales", (np.empty(()), np.empty(()), np.empty(())))
+        object.__setattr__(self, "_scales", (np.full((), np.nan), np.full((), np.nan), np.full((), np.nan)))
 
 
 def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float,
@@ -58,9 +60,10 @@ def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float,
     """
     rhs, stage, acc = problem.rhs, problem._stage, problem._acc
     half, whole, sixth = problem._scales
-    half.fill(0.5 * dt)
-    whole.fill(dt)
-    sixth.fill(dt / 6.0)
+    if whole.item() != dt:  # refilled only when dt changes
+        half.fill(0.5 * dt)
+        whole.fill(dt)
+        sixth.fill(dt / 6.0)
     t_mid = t + 0.5 * dt
     k1 = rhs(t, state, 0)
     np.add(state, np.multiply(half, k1, stage), stage)

@@ -256,12 +256,21 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
 
     u_current = np.zeros(m)  # held control, rebound each step
-    theta, row = law.theta_hat, None  # the row's estimates and basis row
-    # The rhs writes stage j's derivative into ks[j], through views of its
-    # blocks made here, once per run; the loop steps z into the other of
-    # two state buffers, so the state a step started from stays intact.
+    row = None  # the basis row
+    # The rhs writes stage j's derivative into ks[j] through views of its
+    # blocks made here. It and the loop read a state z through views made on
+    # z's first use, keyed by id (the entry keeps z alive): the stage state
+    # and two state buffers, which the loop alternates so that the state a
+    # step started from stays intact. The last entry is the row's estimates,
+    # as they started when the run does not adapt.
     dim = n2 + N * n if adapts else n2
     ks = np.empty((4, dim))
+    views: dict = {}
+
+    def split(z: Vector) -> tuple:
+        v = views[id(z)] = (z, z[:n2], z[:n], z[n:n2], z[n2:].reshape(N, n) if adapts else law.theta_hat)
+        return v
+
     if adapts:
         # z = (x, xhat, theta_hat), theta_hat flat. The law's coefficient at a
         # stage time comes from the current block's table (see _basis_block);
@@ -269,19 +278,19 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
         law_rhs, law_row, law_coef = law.rhs, law.basis_row, law.coefficient
         grid: list = []
         table: dict = {}
-        z = np.concatenate([cfg.x0, cfg.xhat0, theta.ravel()])
+        z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
         stages = [(k, k[:n], k[n:n2], k[n2:].reshape(N, n)) for k in ks]
+        leak = np.empty((N, n))  # mu theta_hat, the law's scratch
 
         def rhs(t: float, z: Vector, stage: int) -> Vector:
             k, dx, dxhat, dtheta = stages[stage]
-            x = z[:n]
-            xhat = z[n:n2]
+            _, _, x, xhat, theta = views.get(id(z)) or split(z)
             np.add(drift(x), input_map(x).dot(u_current), dx)
             dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
             coef = table.get(t)
             if coef is None:
                 coef = law_coef(law_row(t))
-            law_rhs(z[n2:].reshape(N, n), grad_fn(xhat), coef, dtheta)
+            law_rhs(theta, grad_fn(xhat), coef, dtheta, leak)
             return k
     else:
         # z = (x, xhat): theta_hat stays as it started, so it is not integrated
@@ -290,9 +299,9 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
         def rhs(t: float, z: Vector, stage: int) -> Vector:
             k, dx, dxhat = stages[stage]
-            x = z[:n]
+            _, _, x, xhat, _ = views.get(id(z)) or split(z)
             np.add(drift(x), input_map(x).dot(u_current), dx)
-            dxhat[...] = obs_rhs(z[n:], output_map(x), u_current, t)
+            dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
             return k
 
     z_next = np.empty_like(z)
@@ -310,8 +319,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     with np.errstate(all="ignore"):
         for i in range(S):
             t = times.item(i)
-            x = z[:n]
-            xhat = z[n:n2]
+            _, xx, x, xhat, theta = views.get(id(z)) or split(z)
             u_d = u_nominal(t, xhat)
             M = float(bound_value(t))
             # one evaluation of h and h_eps = s_{r-1} - L M - eps serves the row and the trace
@@ -322,7 +330,6 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                     block_start, refill = i, i + _TABLE_BLOCK
                     grid, table = _basis_block(law, times[i:refill + 1].tolist(), grid, table)
                 row = grid[i - block_start]
-                theta = z[n2:].reshape(N, n)
                 tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
             if not math.isfinite(coeffs.b):
@@ -338,7 +345,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                 u = u_d
             u_current = u
 
-            tr_xx[i] = z[:n2]; tr_u[i] = u
+            tr_xx[i] = xx; tr_u[i] = u
             tr_f[i] = (base_h(x), h_hat - base_L * M, h_eps, coeffs.residual(u), M)
             tr_flags[i] = (res.active, res.feasible)
 

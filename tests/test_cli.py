@@ -251,6 +251,27 @@ def test_svg_of_a_span_beyond_the_float_range_is_finite(lo, hi):
     assert pts[1, 1] <= _zero_line_y(svg) <= pts[0, 1]
 
 
+@pytest.mark.parametrize("labels", [("a<b & c", "x > y"), ("&amp;", "<text>"), ("proposed", "1 < 2 > 0 && ok")])
+def test_svg_labels_are_escaped_and_round_trip(labels):
+    # a label holding <, > or & is escaped, so the SVG parses and each
+    # legend entry's text reads back as the label it was given
+    from xml.dom import minidom
+
+    S = 3
+    trace = SimTrace(
+        t=np.linspace(0.0, 1.0, S), x=np.ones((S, 1)), xhat=np.ones((S, 1)),
+        u=np.zeros((S, 1)), h_true=np.array([1.0, -1.0, 2.0]), h0=np.zeros(S),
+        barrier_eps=np.zeros(S), residual=np.zeros(S), M=np.zeros(S),
+        theta_norms=np.zeros((S, 1)), qp_active=np.zeros(S, dtype=bool),
+        qp_feasible=np.ones(S, dtype=bool),
+    )
+    svg = emit_plot([(label, trace) for label in labels], "h_true")
+    doc = minidom.parseString(svg.encode())
+    legend = [node for node in doc.getElementsByTagName("text")
+              if node.getAttribute("font-size") == "12" and not node.hasAttribute("text-anchor")]
+    assert [node.firstChild.data for node in legend] == list(labels)
+
+
 def test_svg_determinism(preset_runs):
     run = preset_runs["example1a"]
     pair = [("proposed", run["proposed"]), ("baseline", run["baseline"])]

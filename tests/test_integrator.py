@@ -113,6 +113,31 @@ def test_in_place_step_equals_the_allocating_expression(data, dim, nonlinear, t,
     assert fresh.tobytes() == kept and not np.shares_memory(fresh, first)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=hst.data(), dim=hst.integers(1, 8), t=hst.floats(0.0, 100.0),
+       dt1=hst.floats(1e-6, 1.0), dt2=hst.floats(1e-6, 1.0))
+def test_steps_of_changing_size_equal_the_allocating_expression(data, dim, t, dt1, dt2):
+    # one problem stepped with dt1, dt1, dt2, dt1: the step's multipliers are
+    # refilled only when dt changes, and every step must still be bit for
+    # bit the allocating expression at its own dt
+    state = data.draw(hnp.arrays(np.float64, dim, elements=hst.floats(-10.0, 10.0)))
+
+    def f(t, z):
+        return np.sin(z) * z[::-1] + math.cos(t)
+
+    ks = np.empty((4, dim))
+
+    def rhs(t, z, stage):
+        ks[stage] = f(t, z)
+        return ks[stage]
+
+    prob = OdeProblem(dim=dim, rhs=rhs)
+    for dt in (dt1, dt1, dt2, dt1):
+        nxt = rk4_step(prob, t, state, dt)
+        assert nxt.tobytes() == _rk4_reference(f, t, state, dt).tobytes(), dt
+        t, state = t + dt, nxt
+
+
 def test_empty_interval():
     # a zero span is the initial point alone: no step
     np.testing.assert_array_equal(time_grid(0.0, 0.25), [0.0])

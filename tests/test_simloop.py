@@ -21,7 +21,7 @@ from cbfsim import (
     run_simulation,
     safety_report,
 )
-from cbfsim import simloop
+from cbfsim import fat, simloop
 from cbfsim.cli import emit_csv, run_preset
 from cbfsim.dynamics import make_example1_system
 from cbfsim.integrator import time_grid
@@ -562,10 +562,9 @@ def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
     assert len(csvs) == 1
 
 
-def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch):
-    # the proposed rhs takes the law's coefficient at a stage time from the
-    # current table, and at any other time from coefficient(basis_row(t)):
-    # the same doubles either way
+def _capture_rhs_and_table(monkeypatch) -> dict:
+    """The dict into which the next run_simulation puts its rhs ("rhs") and
+    its last block's basis rows and coefficient table ("grid", "table")."""
     captured = {}
     problem_cls, basis_block = simloop.OdeProblem, simloop._basis_block
 
@@ -579,6 +578,14 @@ def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch)
 
     monkeypatch.setattr(simloop, "OdeProblem", capturing_problem)
     monkeypatch.setattr(simloop, "_basis_block", capturing_block)
+    return captured
+
+
+def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch):
+    # the proposed rhs takes the law's coefficient at a stage time from the
+    # current table, and at any other time from coefficient(basis_row(t)):
+    # the same doubles either way
+    captured = _capture_rhs_and_table(monkeypatch)
     cfg = make_preset("example1a").cfg
     cfg = replace(cfg, t_end=0.05, adaptive0=replace(cfg.adaptive0, theta_hat=THETA0_OFF_DEFAULT, omega=0.7))
     counts = _counting_basis(monkeypatch)
@@ -597,6 +604,41 @@ def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch)
         on_the_spot = rhs(t, z, 0)
         assert counts["rows"] == 1
         assert on_the_spot.tobytes() == from_table
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1c", "example2"])
+def test_loop_law_derivative_equals_the_law_byte_for_byte(monkeypatch, name):
+    # the loop's theta_hat stage derivative, at a table time and at a time
+    # off the table, is AdaptiveState.rhs and fat.adaptive_rhs to the byte;
+    # the rhs writes neither theta_hat nor its stage input, and a buffer
+    # rewritten in place between calls is read afresh
+    captured = _capture_rhs_and_table(monkeypatch)
+    cfg = make_preset(name).cfg
+    law = replace(cfg.adaptive0, theta_hat=THETA0_OFF_DEFAULT, omega=0.7)
+    cfg = replace(cfg, t_end=0.05, adaptive0=law)
+    run_simulation(cfg)
+    rhs, table = captured["rhs"], captured["table"]
+    n, N = cfg.system.n, law.N
+    grad = cfg.barrier.grad_s[-1]
+    on_table = sorted(table)[-2]
+    off_table = 0.0123456789
+    assert off_table not in table
+    theta = THETA0_OFF_DEFAULT.copy()
+    z = np.concatenate([cfg.x0, cfg.xhat0, theta.ravel()])
+    for t in (on_table, off_table):
+        for scale in (1.0, -3.0):  # the second pass rewrites z's theta_hat in place
+            z[2 * n:] = scale * THETA0_OFF_DEFAULT.ravel()
+            theta = z[2 * n:].reshape(N, n).copy()
+            xhat = z[n:2 * n]
+            want = law.rhs(theta, grad(xhat), law.coefficient(law.basis_row(t)),
+                           np.empty((N, n)), np.empty((N, n))).tobytes()
+            assert fat.adaptive_rhs(replace(law, theta_hat=theta), grad(xhat), t).tobytes() == want
+            for stage in range(4):
+                before = z.tobytes()
+                got = rhs(t, z, stage)[2 * n:]
+                assert got.tobytes() == want, (t, scale, stage)
+                assert z.tobytes() == before  # the stage input is not written
+    assert law.theta_hat.tobytes() == THETA0_OFF_DEFAULT.tobytes()  # nor is theta_hat
 
 
 def test_non_finite_column_is_run_error():
