@@ -164,7 +164,8 @@ def emit_plot(traces: list[tuple[str, SimTrace]], quantity: str) -> str:
         cols = trace.columns()
         if quantity not in cols:
             raise ValueError(f"unknown quantity {quantity!r}; valid: {', '.join(cols)}")
-        # the legend's text escaped as XML character data
+        # html.escape(label, quote=False), without loading html's entity
+        # table into every CLI process
         label = str(label).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         series.append((label, trace.t, np.asarray(cols[quantity], dtype=float)))
 

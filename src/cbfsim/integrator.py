@@ -33,8 +33,7 @@ class OdeProblem:
     rhs: Callable[[float, Vector, int], Vector]
     # rk4_step's work buffers: the stage state and the weighted sum of the
     # stage derivatives, sized from dim, and the step's three multipliers
-    # dt/2, dt and dt/6 (a ufunc takes a 0-d array faster than a float),
-    # NaN until the first step fills them
+    # dt/2, dt and dt/6 (a ufunc takes a 0-d array faster than a float)
     _stage: Vector = field(init=False, repr=False, compare=False)
     _acc: Vector = field(init=False, repr=False, compare=False)
     _scales: tuple = field(init=False, repr=False, compare=False)
@@ -44,7 +43,7 @@ class OdeProblem:
             raise ValueError("dim must be positive")
         object.__setattr__(self, "_stage", np.empty(self.dim))
         object.__setattr__(self, "_acc", np.empty(self.dim))
-        object.__setattr__(self, "_scales", (np.full((), np.nan), np.full((), np.nan), np.full((), np.nan)))
+        object.__setattr__(self, "_scales", (np.empty(()), np.empty(()), np.empty(())))
 
 
 def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float,
@@ -60,10 +59,9 @@ def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float,
     """
     rhs, stage, acc = problem.rhs, problem._stage, problem._acc
     half, whole, sixth = problem._scales
-    if whole.item() != dt:  # refilled only when dt changes
-        half.fill(0.5 * dt)
-        whole.fill(dt)
-        sixth.fill(dt / 6.0)
+    half.fill(0.5 * dt)
+    whole.fill(dt)
+    sixth.fill(dt / 6.0)
     t_mid = t + 0.5 * dt
     k1 = rhs(t, state, 0)
     np.add(state, np.multiply(half, k1, stage), stage)

@@ -258,11 +258,12 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     u_current = np.zeros(m)  # held control, rebound each step
     row = None  # the basis row
     # The rhs writes stage j's derivative into ks[j] through views of its
-    # blocks made here. It and the loop read a state z through views made on
-    # z's first use, keyed by id (the entry keeps z alive): the stage state
-    # and two state buffers, which the loop alternates so that the state a
-    # step started from stays intact. The last entry is the row's estimates,
-    # as they started when the run does not adapt.
+    # blocks made here. A state z is read through views made once: the loop
+    # splits its two state buffers, which it alternates so that the state a
+    # step started from stays intact, and swaps their views with them; the
+    # rhs looks z up by id (the entry keeps z alive), which also covers the
+    # integrator's stage state. The last view is the row's estimates, as
+    # they started when the run does not adapt.
     dim = n2 + N * n if adapts else n2
     ks = np.empty((4, dim))
     views: dict = {}
@@ -305,6 +306,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             return k
 
     z_next = np.empty_like(z)
+    z_views, next_views = split(z), split(z_next)
     zero_z = np.zeros_like(z)
 
     problem = OdeProblem(dim=dim, rhs=rhs)
@@ -319,7 +321,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     with np.errstate(all="ignore"):
         for i in range(S):
             t = times.item(i)
-            _, xx, x, xhat, theta = views.get(id(z)) or split(z)
+            _, xx, x, xhat, theta = z_views
             u_d = u_nominal(t, xhat)
             M = float(bound_value(t))
             # one evaluation of h and h_eps = s_{r-1} - L M - eps serves the row and the trace
@@ -352,6 +354,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             if i == S - 1:
                 break
             z, z_next = rk4_step(problem, t, z, times.item(i + 1) - t, z_next), z
+            z_views, next_views = next_views, z_views
             # 0 * v is +-0 for every finite v and NaN for +-inf or NaN, so the
             # dot is finite exactly when every entry of z is
             if not math.isfinite(z.dot(zero_z)):

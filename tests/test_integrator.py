@@ -117,9 +117,9 @@ def test_in_place_step_equals_the_allocating_expression(data, dim, nonlinear, t,
 @given(data=hst.data(), dim=hst.integers(1, 8), t=hst.floats(0.0, 100.0),
        dt1=hst.floats(1e-6, 1.0), dt2=hst.floats(1e-6, 1.0))
 def test_steps_of_changing_size_equal_the_allocating_expression(data, dim, t, dt1, dt2):
-    # one problem stepped with dt1, dt1, dt2, dt1: the step's multipliers are
-    # refilled only when dt changes, and every step must still be bit for
-    # bit the allocating expression at its own dt
+    # one problem stepped with dt1, dt1, dt2, dt1: the step's multipliers
+    # live in the problem, and every step must still be bit for bit the
+    # allocating expression at its own dt
     state = data.draw(hnp.arrays(np.float64, dim, elements=hst.floats(-10.0, 10.0)))
 
     def f(t, z):
