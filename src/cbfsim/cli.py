@@ -8,12 +8,9 @@ dependency), byte-deterministic for identical traces.
 
 from __future__ import annotations
 
-import argparse
-import json
 import math
 import os
 import pickle
-import signal
 import sys
 from dataclasses import replace
 from typing import NoReturn, Optional
@@ -88,6 +85,8 @@ def apply_overrides(cfg: SimConfig, overrides: dict) -> SimConfig:
 def _parse_config_doc(text: str) -> tuple[str, dict]:
     """JSON text -> (preset name, override map); run_preset checks the name
     and the overrides."""
+    import json  # here, so that `import cbfsim` does not load it
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as err:
@@ -307,6 +306,8 @@ def _run_pair(cfg: SimConfig) -> tuple[SimTrace, SimTrace]:
                 baseline = None
         status = os.waitpid(pid, 0)[1]
     except BaseException:  # an error or Ctrl-C here: leave no worker behind
+        import signal
+
         os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
         raise
@@ -369,15 +370,6 @@ def run_preset(name: str, overrides: Optional[dict] = None, out_dir: str = "out"
     return 0
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """An ArgumentParser whose usage errors raise, so that main reports them
-    as it reports every other failure; add_parser makes subparsers of the
-    same class."""
-
-    def error(self, message: str) -> NoReturn:
-        raise ValueError(message)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     """The cbfsim entry point, and the one place where a failure becomes
     exit status 1 (130 for Ctrl-C) and one "error: ..." line on stderr."""
@@ -403,6 +395,16 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _run_command(argv: Optional[list[str]]) -> int:
     """Parse argv and run its command: run_preset's status, or a raise."""
+    import argparse  # here, so that `import cbfsim` does not load it
+
+    class _ArgumentParser(argparse.ArgumentParser):
+        """An ArgumentParser whose usage errors raise, so that main reports
+        them as it reports every other failure; add_parser makes subparsers
+        of the same class."""
+
+        def error(self, message: str) -> NoReturn:
+            raise ValueError(message)
+
     parser = _ArgumentParser(
         prog="cbfsim",
         description="Observer-aware safety-filter simulations.",

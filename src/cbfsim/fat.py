@@ -9,7 +9,6 @@ itself when its relative degree is 1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,19 +19,25 @@ Vector = np.ndarray
 
 
 def _series_terms(N: int, omega: float) -> tuple:
-    """(cos or sin, k omega) for phi_1..phi_N: phi_{2k-1}(t) = cos(k omega t)
+    """(np.cos or np.sin, k omega) for phi_1..phi_N: phi_{2k-1}(t) = cos(k omega t)
     and phi_{2k}(t) = sin(k omega t)."""
     return tuple(
-        (math.cos if i % 2 == 1 else math.sin, ((i + 1) // 2) * omega)
+        (np.cos if i % 2 == 1 else np.sin, ((i + 1) // 2) * omega)
         for i in range(1, N + 1)
     )
 
 
-def _basis(terms: tuple, ts: list) -> np.ndarray:
+def _basis(terms: tuple, ts) -> np.ndarray:
     """(len(ts), N) array whose row j is [phi_1(ts[j]), ..., phi_N(ts[j])],
-    for Python floats ts: the one basis formula. Built one term at a time,
-    which is cheaper than one row at a time, with the same math calls."""
-    return np.array([[fn(w * t) for t in ts] for fn, w in terms]).T.copy()
+    for a float64 array or a sequence of floats ts: the one basis formula,
+    one multiply and one trig ufunc call per term over all the times.
+    numpy's float64 cos and sin give libm's doubles, which
+    tests/test_fat.py checks."""
+    ts = np.asarray(ts, dtype=float)
+    out = np.empty((len(terms), ts.shape[0]))
+    for row, (fn, w) in zip(out, terms):
+        fn(np.multiply(w, ts, row), row)
+    return out.T.copy()
 
 
 @dataclass(frozen=True)
@@ -100,9 +105,9 @@ class AdaptiveState:
         """[phi_1(t), ..., phi_N(t)]."""
         return _basis(self.terms, [t])[0]
 
-    def basis_rows(self, ts: list) -> np.ndarray:
+    def basis_rows(self, ts) -> np.ndarray:
         """(len(ts), N) array whose row j is basis_row(ts[j]), bit for bit;
-        ts holds Python floats."""
+        ts is a float64 array or a sequence of floats."""
         return _basis(self.terms, ts)
 
     def coefficient(self, phis: np.ndarray) -> np.ndarray:

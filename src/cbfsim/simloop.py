@@ -246,14 +246,14 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     S = times.shape[0]
     # Three row blocks, of which the SimTrace columns are views: (x, xhat),
     # the five float columns (h_true, h0, barrier_eps, residual, M) and the
-    # two flags (qp_active, qp_feasible).
+    # two flags (qp_active, qp_feasible). The loop stores a row's floats and
+    # flags one at a time through flat 'd' and 'B' memoryviews of the last
+    # two, which costs less than assigning a tuple to a numpy row.
     tr_xx = np.empty((S, n2)); tr_u = np.empty((S, m))
     tr_f = np.empty((S, 5)); tr_flags = np.empty((S, 2), dtype=bool)
-    if adapts:  # theta_hat rows, squared and reduced to norms after the loop
-        tr_th = np.empty((S, N, n))
-    else:  # theta_hat stays as it started
-        tr_th = np.empty((S, N))
-        tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
+    # theta_hat rows, squared and reduced to norms after the loop; when the
+    # run does not adapt, theta_hat stays as it started
+    tr_th = np.empty((S, N, n)) if adapts else np.empty((S, N))
 
     u_current = np.zeros(m)  # held control, rebound each step
     row = None  # the basis row
@@ -318,7 +318,8 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
     # A value that overflows is caught below (the state after each step, the
     # row's b, every column at the end), not warned about step by step.
-    with np.errstate(all="ignore"):
+    with (np.errstate(all="ignore"), memoryview(tr_f.reshape(-1)) as f_rec,
+          memoryview(tr_flags.reshape(-1).view(np.uint8)) as flag_rec):
         for i in range(S):
             t = times.item(i)
             _, xx, x, xhat, theta = z_views
@@ -330,7 +331,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             if adapts:
                 if i == refill:
                     block_start, refill = i, i + _TABLE_BLOCK
-                    grid, table = _basis_block(law, times[i:refill + 1].tolist(), grid, table)
+                    grid, table = _basis_block(law, times[i:refill + 1], grid, table)
                 row = grid[i - block_start]
                 tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
@@ -348,8 +349,11 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             u_current = u
 
             tr_xx[i] = xx; tr_u[i] = u
-            tr_f[i] = (base_h(x), h_hat - base_L * M, h_eps, coeffs.residual(u), M)
-            tr_flags[i] = (res.active, res.feasible)
+            j = 5 * i
+            f_rec[j] = base_h(x); f_rec[j + 1] = h_hat - base_L * M; f_rec[j + 2] = h_eps
+            f_rec[j + 3] = coeffs.residual(u); f_rec[j + 4] = M
+            j = 2 * i
+            flag_rec[j] = res.active; flag_rec[j + 1] = res.feasible
 
             if i == S - 1:
                 break
@@ -361,10 +365,13 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                 raise RunError(f"state became non-finite during the step starting at t={t:.6g}",
                                _sample_dict(t, x, xhat, u))
 
-    if adapts:
-        # np.linalg.norm(theta, axis=1) per row, without its dispatch: same bits
-        np.multiply(tr_th, tr_th, out=tr_th)
-        tr_th = np.sqrt(np.add.reduce(tr_th, axis=2))
+        # an overflowing norm is reported below as a non-finite column
+        if adapts:
+            # np.linalg.norm(theta, axis=1) per row, without its dispatch: same bits
+            np.multiply(tr_th, tr_th, out=tr_th)
+            tr_th = np.sqrt(np.add.reduce(tr_th, axis=2))
+        else:
+            tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
     trace = SimTrace(
         t=times, x=tr_xx[:, :n], xhat=tr_xx[:, n:], u=tr_u, h_true=tr_f[:, 0],
         h0=tr_f[:, 1], barrier_eps=tr_f[:, 2], residual=tr_f[:, 3], M=tr_f[:, 4],
@@ -382,21 +389,23 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     return trace
 
 
-def _basis_block(law: AdaptiveState, ts: list, grid: list, table: dict) -> tuple[list, dict]:
-    """Basis rows at the grid times ts, and the law's coefficient at every
-    RK4 stage time of the steps between them, keyed by time: each grid time
-    and each midpoint t + 0.5 (t_next - t), the expression rk4_step uses.
-    Stage 4 lands on t_next, since t_next - t is exact on a time_grid. A
-    block after the first starts at the last grid time of the one before,
-    whose row and coefficient are carried over from grid and table, so
-    every distinct stage time is evaluated once."""
-    mids = [t + 0.5 * (t_next - t) for t, t_next in zip(ts, ts[1:])]
+def _basis_block(law: AdaptiveState, ts: np.ndarray, grid: list, table: dict) -> tuple[list, dict]:
+    """Basis rows at the grid times ts (a float64 slice of the time grid),
+    and the law's coefficient at every RK4 stage time of the steps between
+    them, keyed by time: each grid time and each midpoint
+    t + 0.5 (t_next - t), elementwise the expression rk4_step uses. Stage 4
+    lands on t_next, since t_next - t is exact on a time_grid. A block after
+    the first starts at the last grid time of the one before, whose row and
+    coefficient are carried over from grid and table, so every distinct
+    stage time is evaluated once."""
+    mids = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
     k = 1 if grid else 0
-    fresh = ts[k:] + mids
+    fresh = np.concatenate((ts[k:], mids))
     rows = law.basis_rows(fresh)
-    new_table = dict(zip(fresh, law.coefficient(rows)))
+    new_table = dict(zip(fresh.tolist(), law.coefficient(rows)))
     if k:
-        new_table[ts[0]] = table[ts[0]]
+        t0 = ts.item(0)
+        new_table[t0] = table[t0]
     return grid[-1:] + list(rows[:len(ts) - k]), new_table
 
 

@@ -603,6 +603,11 @@ def test_omega_that_overflows_the_basis_is_one_error_line(tmp_path, capsys, t_en
     # evaluates them before the run
     pytest.param('{"preset": "example1c", "xhat0": [-1e308, 1e308, -1e308]}',
                  "constraint row became non-finite at t=0", id="epsilon-bound-overflow-xhat0"),
+    # theta_hat grows past the square root of the float range, so squaring
+    # it for the norm column after the loop overflows
+    *[pytest.param(f'{{"preset": "{name}", "epsilon": 1e-300}}',
+                   "column theta_norm_1 became non-finite at t=0.001", id=f"theta-norm-overflow-{name}")
+      for name in ("example1a", "example1b", "example1c")],
 ])
 def test_overflowing_input_is_one_error_line(tmp_path, capsys, doc, message):
     cfg_path = tmp_path / "run.json"
@@ -614,6 +619,19 @@ def test_overflowing_input_is_one_error_line(tmp_path, capsys, doc, message):
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not out_dir.exists()
+
+
+def test_import_loads_no_cli_only_module():
+    # argparse, json and signal are imported where the CLI uses them, so a
+    # process that only imports the package (a library caller, a bench
+    # child) does not load them; numpy is imported first, so that only what
+    # cbfsim itself loads is counted
+    env = dict(os.environ, PYTHONPATH=str(Path(cbfsim.__file__).parents[1]))
+    code = ("import sys, numpy; before = set(sys.modules); import cbfsim; "
+            "print(sorted({'argparse', 'json', 'signal'} & (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_step_cap_is_one_error_line(tmp_path):

@@ -3,8 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from cbfsim import AdaptiveState
+from cbfsim import PRESET_NAMES, AdaptiveState, make_preset
 from cbfsim.fat import adaptive_rhs, basis_row, fat_eval
 from cbfsim.integrator import OdeProblem, rk4_step, time_grid
 
@@ -175,3 +177,41 @@ def test_basis_rows_and_coefficients_match_one_row_at_a_time():
         assert row.tobytes() == one.tobytes() == basis_row(5, 0.7, t).tobytes(), t
         assert coef.tobytes() == st.coefficient(one).tobytes(), t
     assert st.basis_rows([]).shape == (0, 5) and st.coefficient(st.basis_rows([])).shape == (0, 5, 1)
+
+
+def _libm_basis(N: int, omega: float, ts) -> np.ndarray:
+    """The basis from math.cos and math.sin, one Python float at a time."""
+    return np.array([[(math.cos if i % 2 else math.sin)(((i + 1) // 2) * omega * t)
+                      for i in range(1, N + 1)] for t in ts]).reshape(len(ts), N)
+
+
+def _assert_libm_bits(st: AdaptiveState, ts) -> None:
+    got, want = st.basis_rows(ts), _libm_basis(st.N, st.omega, ts)
+    bad = np.flatnonzero((got != want).any(axis=1))
+    assert bad.size == 0, (
+        f"numpy's float64 cos/sin differ from libm's math.cos/math.sin at t = {float(ts[bad[0]])!r} "
+        f"(omega {st.omega}): {got[bad[0]].tolist()} != {want[bad[0]].tolist()}; every CSV "
+        "pin assumes the two agree bit for bit")
+
+
+@settings(max_examples=300, deadline=None)
+@given(ts=hst.lists(hst.floats(0.0, 1e4), min_size=1, max_size=20),
+       omega=hst.sampled_from([0.7, 1.0, 2.5]), N=hst.integers(1, 6))
+def test_basis_equals_libm_bit_for_bit(ts, omega, N):
+    # the basis is built with numpy's trig ufuncs over arrays of times, and
+    # must give the doubles of math.cos and math.sin at k omega t
+    st = AdaptiveState(theta_hat=np.zeros((N, 2)), theta_bar=np.full(N, 0.5),
+                       epsilon=0.1, mu=1.0, omega=omega)
+    _assert_libm_bits(st, ts)
+    for t in ts[:3]:
+        assert st.basis_row(t).tobytes() == _libm_basis(N, omega, [t]).tobytes()
+
+
+@pytest.mark.parametrize("name,dt", [(name, None) for name in PRESET_NAMES] + [("example2", 5e-4)])
+def test_preset_stage_times_equal_libm_bit_for_bit(name, dt):
+    # every RK4 stage time of the preset grids (grid times and the
+    # midpoints t + 0.5 (t_next - t)) and of the long 5e-4 example2 grid
+    cfg = make_preset(name).cfg
+    ts = time_grid(cfg.t_end, dt or cfg.dt)
+    ts = np.concatenate((ts, ts[:-1] + 0.5 * (ts[1:] - ts[:-1])))
+    _assert_libm_bits(cfg.adaptive0, ts)
