@@ -99,6 +99,7 @@ def rossler_field(a: float, b: float, c: float) -> Callable[[float, float, float
     """The Rossler drift (-x2 - x3, x1 + a x2, b + x3 (x1 - c)) as a function
     of three Python floats; the plant and its observer both evaluate it."""
     a, b, c = float(a), float(b), float(c)
+    check_finite(a=a, b=b, c=c)
 
     def field(x1: float, x2: float, x3: float) -> tuple:
         return -x2 - x3, x1 + a * x2, b + x3 * (x1 - c)

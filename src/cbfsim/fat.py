@@ -101,13 +101,10 @@ class AdaptiveState:
         """Number of estimated series terms: the rows of theta_hat."""
         return self.theta_hat.shape[0]
 
-    def basis_row(self, t: float) -> Vector:
-        """[phi_1(t), ..., phi_N(t)]."""
-        return _basis(self.terms, [t])[0]
-
     def basis_rows(self, ts) -> np.ndarray:
-        """(len(ts), N) array whose row j is basis_row(ts[j]), bit for bit;
-        ts is a float64 array or a sequence of floats."""
+        """(len(ts), N) array whose row j is [phi_1(ts[j]), ..., phi_N(ts[j])],
+        bit for bit the row of fat.basis_row at ts[j]; ts is a float64 array
+        or a sequence of floats."""
         return _basis(self.terms, ts)
 
     def coefficient(self, phis: np.ndarray) -> np.ndarray:

@@ -76,6 +76,7 @@ def make_luenberger(system: ControlAffineSystem, gain: Matrix, bound: ErrorBound
     gain = np.asarray(gain, dtype=float)
     if gain.shape != (system.n, system.k):
         raise ValueError("gain must be n x k")
+    check_finite(gain=gain)
     drift, input_map, output_map = system.drift, system.input_map, system.output_map
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:
@@ -103,6 +104,7 @@ def make_rossler_observer(
     """
     if m_exp < 1 or m_exp % 2 == 0:
         raise ValueError("m_exp must be a positive odd integer")
+    check_finite(q1=q1, s1=s1, r1=r1, q2=q2, s2=s2, r2=r2)
     field = rossler_field(*params)
 
     def rhs(xhat: Vector, y: Vector, u: Vector, t: float) -> Vector:

@@ -257,53 +257,35 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
     u_current = np.zeros(m)  # held control, rebound each step
     row = None  # the basis row
-    # The rhs writes stage j's derivative into ks[j] through views of its
-    # blocks made here. A state z is read through views made once: the loop
-    # splits its two state buffers, which it alternates so that the state a
-    # step started from stays intact, and swaps their views with them; the
-    # rhs looks z up by id (the entry keeps z alive), which also covers the
-    # integrator's stage state. The last view is the row's estimates, as
-    # they started when the run does not adapt.
-    dim = n2 + N * n if adapts else n2
+    coefs: tuple = ()  # the step's law coefficients, one per RK4 stage
+    # z = (x, xhat, theta_hat), theta_hat flat, when the run adapts, else
+    # (x, xhat). The rhs writes stage j's derivative into ks[j] through views
+    # of its blocks made here. A state z is read through views made once: the
+    # loop splits its two state buffers, which it alternates so that the
+    # state a step started from stays intact, and swaps their views with
+    # them; the rhs looks z up by id (the entry keeps z alive), which also
+    # covers the integrator's stage state. The last view is the row's
+    # estimates, as they started when the run does not adapt.
+    z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()] if adapts else [cfg.x0, cfg.xhat0])
+    dim = z.shape[0]
     ks = np.empty((4, dim))
+    stages = [(k, k[:n], k[n:n2], k[n2:].reshape(-1, n)) for k in ks]
     views: dict = {}
+    law_rhs = law.rhs
+    leak = np.empty((N, n))  # mu theta_hat, the law's scratch
 
     def split(z: Vector) -> tuple:
         v = views[id(z)] = (z, z[:n2], z[:n], z[n:n2], z[n2:].reshape(N, n) if adapts else law.theta_hat)
         return v
 
-    if adapts:
-        # z = (x, xhat, theta_hat), theta_hat flat. The law's coefficient at a
-        # stage time comes from the current block's table (see _basis_block);
-        # a time that is not in it is evaluated on the spot.
-        law_rhs, law_row, law_coef = law.rhs, law.basis_row, law.coefficient
-        grid: list = []
-        table: dict = {}
-        z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()])
-        stages = [(k, k[:n], k[n:n2], k[n2:].reshape(N, n)) for k in ks]
-        leak = np.empty((N, n))  # mu theta_hat, the law's scratch
-
-        def rhs(t: float, z: Vector, stage: int) -> Vector:
-            k, dx, dxhat, dtheta = stages[stage]
-            _, _, x, xhat, theta = views.get(id(z)) or split(z)
-            np.add(drift(x), input_map(x).dot(u_current), dx)
-            dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
-            coef = table.get(t)
-            if coef is None:
-                coef = law_coef(law_row(t))
-            law_rhs(theta, grad_fn(xhat), coef, dtheta, leak)
-            return k
-    else:
-        # z = (x, xhat): theta_hat stays as it started, so it is not integrated
-        z = np.concatenate([cfg.x0, cfg.xhat0])
-        stages = [(k, k[:n], k[n:]) for k in ks]
-
-        def rhs(t: float, z: Vector, stage: int) -> Vector:
-            k, dx, dxhat = stages[stage]
-            _, _, x, xhat, _ = views.get(id(z)) or split(z)
-            np.add(drift(x), input_map(x).dot(u_current), dx)
-            dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
-            return k
+    def rhs(t: float, z: Vector, stage: int) -> Vector:
+        k, dx, dxhat, dtheta = stages[stage]
+        _, _, x, xhat, theta = views.get(id(z)) or split(z)
+        np.add(drift(x), input_map(x).dot(u_current), dx)
+        dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
+        if adapts:
+            law_rhs(theta, grad_fn(xhat), coefs[stage], dtheta, leak)
+        return k
 
     z_next = np.empty_like(z)
     z_views, next_views = split(z), split(z_next)
@@ -331,7 +313,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             if adapts:
                 if i == refill:
                     block_start, refill = i, i + _TABLE_BLOCK
-                    grid, table = _basis_block(law, times[i:refill + 1], grid, table)
+                    grid, steps = _basis_block(law, times[i:refill + 1])
                 row = grid[i - block_start]
                 tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
@@ -357,6 +339,8 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
             if i == S - 1:
                 break
+            if adapts:
+                coefs = steps[i - block_start]
             z, z_next = rk4_step(problem, t, z, times.item(i + 1) - t, z_next), z
             z_views, next_views = next_views, z_views
             # 0 * v is +-0 for every finite v and NaN for +-inf or NaN, so the
@@ -389,24 +373,17 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     return trace
 
 
-def _basis_block(law: AdaptiveState, ts: np.ndarray, grid: list, table: dict) -> tuple[list, dict]:
+def _basis_block(law: AdaptiveState, ts: np.ndarray) -> tuple[list, list]:
     """Basis rows at the grid times ts (a float64 slice of the time grid),
-    and the law's coefficient at every RK4 stage time of the steps between
-    them, keyed by time: each grid time and each midpoint
-    t + 0.5 (t_next - t), elementwise the expression rk4_step uses. Stage 4
-    lands on t_next, since t_next - t is exact on a time_grid. A block after
-    the first starts at the last grid time of the one before, whose row and
-    coefficient are carried over from grid and table, so every distinct
-    stage time is evaluated once."""
+    and for each step between them the law's coefficients at its four RK4
+    stage times: (c(t), c(mid), c(mid), c(t_next)), with the midpoint
+    t + 0.5 (t_next - t) formed elementwise as rk4_step forms it. Stage 4
+    runs at t + (t_next - t), which is t_next exactly on a time_grid."""
     mids = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
-    k = 1 if grid else 0
-    fresh = np.concatenate((ts[k:], mids))
-    rows = law.basis_rows(fresh)
-    new_table = dict(zip(fresh.tolist(), law.coefficient(rows)))
-    if k:
-        t0 = ts.item(0)
-        new_table[t0] = table[t0]
-    return grid[-1:] + list(rows[:len(ts) - k]), new_table
+    rows = law.basis_rows(np.concatenate((ts, mids)))
+    c = law.coefficient(rows)
+    k = len(ts)
+    return list(rows[:k]), [(c[j], c[k + j], c[k + j], c[j + 1]) for j in range(k - 1)]
 
 
 def _sample_dict(t: float, x: Vector, xhat: Vector, u: Vector) -> dict:

@@ -57,7 +57,7 @@ def _row(chain, sys_, xhat, st, bound, t):
     top = chain.r - 1
     h_eps = float(chain.s[top](xhat)) - chain.L_k[top] * float(bound.value(t)) - st.epsilon
     return constraint_rdr(chain, sys_, xhat, h_eps, st, st.theta_hat, float(bound.derivative(t)),
-                          st.basis_row(t))
+                          st.basis_rows([t])[0])
 
 
 def test_h0_values():

@@ -634,6 +634,20 @@ def test_import_loads_no_cli_only_module():
     assert proc.stdout == "[]\n"
 
 
+def test_cli_run_loads_numpy_alone_outside_the_standard_library(tmp_path):
+    # numpy is the one runtime dependency: a whole CLI run (both controllers,
+    # CSV and SVG) loads no scipy and no other package beyond the standard
+    # library, whatever was loaded before it started
+    env = dict(os.environ, PYTHONPATH=str(Path(cbfsim.__file__).parents[1]))
+    code = ("import sys; before = set(sys.modules); import cbfsim.cli; "
+            f"code = cbfsim.cli.main(['run', '--preset', 'example1c', '--t-end', '0.01', '--out', {str(tmp_path)!r}]); "
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "print(code, sorted(new - set(sys.stdlib_module_names)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 ['cbfsim', 'numpy']"
+
+
 def test_cli_step_cap_is_one_error_line(tmp_path):
     # t_end / dt = 1e15 steps: rejected by SimConfig's step cap from the
     # arithmetic alone, before any time grid or trace is allocated

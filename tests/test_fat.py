@@ -113,9 +113,10 @@ def test_orthogonality_on_one_period():
     for omega in (1.0, 2.0):
         period = 2.0 * math.pi / omega
         ts = np.linspace(0.0, period, 10_001)
+        phis = replace(_state(np.zeros((4, 1))), omega=omega).basis_rows(ts)
         for i in range(1, 5):
             for j in range(1, 5):
-                vals = np.array([_phi(i, omega, t) * _phi(j, omega, t) for t in ts])
+                vals = phis[:, i - 1] * phis[:, j - 1]
                 integral = np.trapezoid(vals, ts)
                 want = math.pi / omega if i == j else 0.0
                 assert integral == pytest.approx(want, abs=1e-6), (i, j, omega)
@@ -155,7 +156,7 @@ def test_derived_constants_follow_replace():
         assert got.gain.tobytes() == fresh.gain.tobytes(), change
         assert got.terms == fresh.terms, change
         assert got.N == fresh.N == fresh.theta_hat.shape[0] == len(fresh.terms), change
-        np.testing.assert_array_equal(got.basis_row(0.9), basis_row(fresh.N, fresh.omega, 0.9))
+        np.testing.assert_array_equal(got.basis_rows([0.9])[0], basis_row(fresh.N, fresh.omega, 0.9))
     assert replace(st, epsilon=0.4).gain.tolist() == [-0.3125, -1.25, -5.0]
     assert [w for _, w in replace(st, omega=2.5).terms] == [2.5, 2.5, 5.0]
     with pytest.raises(ValueError):
@@ -173,7 +174,7 @@ def test_basis_rows_and_coefficients_match_one_row_at_a_time():
     coefs = st.coefficient(rows)
     assert rows.shape == (len(ts), 5) and coefs.shape == (len(ts), 5, 1)
     for t, row, coef in zip(ts, rows, coefs):
-        one = st.basis_row(t)
+        one = st.basis_rows([t])[0]
         assert row.tobytes() == one.tobytes() == basis_row(5, 0.7, t).tobytes(), t
         assert coef.tobytes() == st.coefficient(one).tobytes(), t
     assert st.basis_rows([]).shape == (0, 5) and st.coefficient(st.basis_rows([])).shape == (0, 5, 1)
@@ -204,7 +205,7 @@ def test_basis_equals_libm_bit_for_bit(ts, omega, N):
                        epsilon=0.1, mu=1.0, omega=omega)
     _assert_libm_bits(st, ts)
     for t in ts[:3]:
-        assert st.basis_row(t).tobytes() == _libm_basis(N, omega, [t]).tobytes()
+        assert st.basis_rows([t]).tobytes() == _libm_basis(N, omega, [t]).tobytes()
 
 
 @pytest.mark.parametrize("name,dt", [(name, None) for name in PRESET_NAMES] + [("example2", 5e-4)])

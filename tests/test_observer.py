@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from cbfsim import ErrorBoundModel
-from cbfsim.dynamics import EXAMPLE1_A, EXAMPLE1_B, EXAMPLE1_C, ControlAffineSystem, make_example1_system
+from cbfsim.dynamics import (
+    EXAMPLE1_A,
+    EXAMPLE1_B,
+    EXAMPLE1_C,
+    ControlAffineSystem,
+    make_example1_system,
+    make_rossler_system,
+)
 from cbfsim.integrator import OdeProblem, rk4_step, time_grid
 from cbfsim.observer import make_luenberger, make_rossler_observer
 from cbfsim.presets import LUENBERGER_GAIN, PRESET_NAMES, ROSSLER_PARAMS, make_preset
@@ -130,6 +137,27 @@ def test_rossler_observer_m_exp_validation():
     for bad in (0, -3, 2, 4):
         with pytest.raises(ValueError):
             make_rossler_observer(3.0, -3.0, 3.0, 10.0, 10.0, 10.0, bad, ROSSLER_PARAMS, bound)
+
+
+def test_non_finite_observer_and_plant_parameters_are_rejected_at_construction():
+    # a NaN gain or an inf correction gain or Rossler parameter must fail
+    # where it is passed in, not as a non-finite state in the first step
+    gain = PRINTED_GAIN.copy()
+    gain[1, 0] = math.nan
+    with pytest.raises(ValueError, match="^gain must be finite$"):
+        _luenberger(gain)
+    gains = [3.0, -3.0, 3.0, 10.0, 10.0, 10.0]
+    for j, name in enumerate(("q1", "s1", "r1", "q2", "s2", "r2")):
+        bad = gains[:j] + [math.inf] + gains[j + 1:]
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            make_rossler_observer(*bad, 3, ROSSLER_PARAMS, BOUND)
+    for j, name in enumerate("abc"):
+        params = list(ROSSLER_PARAMS)
+        params[j] = -math.inf if j else math.nan
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            make_rossler_observer(*gains, 3, tuple(params), BOUND)
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            make_rossler_system(*params)
 
 
 def test_luenberger_shape_validation():

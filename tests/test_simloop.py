@@ -483,10 +483,9 @@ def test_per_row_work_stays_removed(monkeypatch, name):
     # (h_true) and at xhat (h0, the baseline row), the top level at xhat
     # (barrier_eps, the proposed row) and the middle levels never; on the
     # r = 1 barrier s_0 is the top level and serves both at xhat. One basis
-    # row is evaluated per distinct stage time on proposed runs (each grid
-    # time t and each midpoint t + dt/2, shared by stages 2 and 3; stage 4
-    # lands on the next grid time), counting the block tables' rows and any
-    # single row, and none on baseline runs
+    # row is evaluated per distinct stage time on proposed runs of one block
+    # (each grid time t and each midpoint t + dt/2, shared by stages 2 and 3;
+    # stage 4 lands on the next grid time), and none on baseline runs
     counts = {"value": 0, "derivative": 0, "adaptive_state": 0}
     cfg = make_preset(name).cfg
     chain = cfg.barrier
@@ -522,19 +521,14 @@ def test_per_row_work_stays_removed(monkeypatch, name):
 
 
 def _counting_basis(monkeypatch) -> dict:
-    """Count the basis rows evaluated, one at a time or in block tables."""
+    """Count the basis rows evaluated: every one goes through basis_rows."""
     counts = {"rows": 0}
-    basis_row, basis_rows = AdaptiveState.basis_row, AdaptiveState.basis_rows
-
-    def counting_basis_row(self, t):
-        counts["rows"] += 1
-        return basis_row(self, t)
+    basis_rows = AdaptiveState.basis_rows
 
     def counting_basis_rows(self, ts):
         counts["rows"] += len(ts)
         return basis_rows(self, ts)
 
-    monkeypatch.setattr(AdaptiveState, "basis_row", counting_basis_row)
     monkeypatch.setattr(AdaptiveState, "basis_rows", counting_basis_rows)
     return counts
 
@@ -545,7 +539,7 @@ def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
     # runs ending just before, on and after a block seam, and one whose last
     # step is shortened, emit the same CSV with one step per table, the
     # default block and one table for the whole run; every distinct stage
-    # time is still evaluated once
+    # time is evaluated once, and each seam's grid time once more
     B = simloop._TABLE_BLOCK
     rows = {"B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[rows]
     t_end = (rows - 1) * 0.01 - (0.0055 if short else 0.0)
@@ -557,88 +551,46 @@ def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
         counts["rows"] = 0
         trace = run_simulation(cfg)
         assert len(trace) == rows and trace.t[-1] == t_end
-        assert counts["rows"] == 2 * rows - 1, block
+        assert counts["rows"] == 2 * rows + math.ceil(rows / block) - 2, block
         csvs.add(emit_csv(trace))
     assert len(csvs) == 1
 
 
-def _capture_rhs_and_table(monkeypatch) -> dict:
-    """The dict into which the next run_simulation puts its rhs ("rhs") and
-    its last block's basis rows and coefficient table ("grid", "table")."""
-    captured = {}
-    problem_cls, basis_block = simloop.OdeProblem, simloop._basis_block
-
-    def capturing_problem(dim, rhs):
-        captured["rhs"] = rhs
-        return problem_cls(dim=dim, rhs=rhs)
-
-    def capturing_block(*args):
-        captured["grid"], captured["table"] = basis_block(*args)
-        return captured["grid"], captured["table"]
-
-    monkeypatch.setattr(simloop, "OdeProblem", capturing_problem)
-    monkeypatch.setattr(simloop, "_basis_block", capturing_block)
-    return captured
-
-
-def test_stage_time_missing_from_the_table_is_evaluated_on_the_spot(monkeypatch):
-    # the proposed rhs takes the law's coefficient at a stage time from the
-    # current table, and at any other time from coefficient(basis_row(t)):
-    # the same doubles either way
-    captured = _capture_rhs_and_table(monkeypatch)
-    cfg = make_preset("example1a").cfg
-    cfg = replace(cfg, t_end=0.05, adaptive0=replace(cfg.adaptive0, theta_hat=THETA0_OFF_DEFAULT, omega=0.7))
-    counts = _counting_basis(monkeypatch)
-    run_simulation(cfg)
-    rhs, table = captured["rhs"], captured["table"]
-    assert len(table) == 2 * 51 - 1  # one block: every stage time of the run
-    z = np.concatenate([cfg.x0, cfg.xhat0, THETA0_OFF_DEFAULT.ravel()])
-    law = cfg.adaptive0
-    for t in sorted(table)[-3:]:  # the last two grid times and the midpoint between them
-        assert table[t].tobytes() == law.coefficient(law.basis_row(t)).tobytes()
-        counts["rows"] = 0
-        # both calls write stage 0's buffer, so keep the first result's bytes
-        from_table = rhs(t, z, 0).tobytes()
-        assert counts["rows"] == 0
-        del table[t]
-        on_the_spot = rhs(t, z, 0)
-        assert counts["rows"] == 1
-        assert on_the_spot.tobytes() == from_table
-
-
 @pytest.mark.parametrize("name", ["example1a", "example1c", "example2"])
 def test_loop_law_derivative_equals_the_law_byte_for_byte(monkeypatch, name):
-    # the loop's theta_hat stage derivative, at a table time and at a time
-    # off the table, is AdaptiveState.rhs and fat.adaptive_rhs to the byte;
-    # the rhs writes neither theta_hat nor its stage input, and a buffer
-    # rewritten in place between calls is read afresh
-    captured = _capture_rhs_and_table(monkeypatch)
+    # every rhs call of a run over two block seams with a shortened last
+    # step: its theta_hat stage derivative is AdaptiveState.rhs and
+    # fat.adaptive_rhs at the time rk4_step passed, to the byte, and it
+    # writes neither its stage input nor the run's initial theta_hat
+    calls = []
+    problem_cls = simloop.OdeProblem
+
+    def recording_problem(dim, rhs):
+        def recording(t, z, stage):
+            before = z.copy()
+            k = rhs(t, z, stage)
+            assert z.tobytes() == before.tobytes(), (t, stage)
+            calls.append((t, before, k.copy()))
+            return k
+        return problem_cls(dim=dim, rhs=recording)
+
+    monkeypatch.setattr(simloop, "OdeProblem", recording_problem)
     cfg = make_preset(name).cfg
     law = replace(cfg.adaptive0, theta_hat=THETA0_OFF_DEFAULT, omega=0.7)
-    cfg = replace(cfg, t_end=0.05, adaptive0=law)
-    run_simulation(cfg)
-    rhs, table = captured["rhs"], captured["table"]
+    B = simloop._TABLE_BLOCK
+    cfg = replace(cfg, t_end=(2 * B + 0.55) * cfg.dt, adaptive0=law)
+    trace = run_simulation(cfg)
+    assert len(trace) == 2 * B + 2 and trace.t[-1] - trace.t[-2] < cfg.dt
+    assert len(calls) == 4 * (len(trace) - 1)
     n, N = cfg.system.n, law.N
     grad = cfg.barrier.grad_s[-1]
-    on_table = sorted(table)[-2]
-    off_table = 0.0123456789
-    assert off_table not in table
-    theta = THETA0_OFF_DEFAULT.copy()
-    z = np.concatenate([cfg.x0, cfg.xhat0, theta.ravel()])
-    for t in (on_table, off_table):
-        for scale in (1.0, -3.0):  # the second pass rewrites z's theta_hat in place
-            z[2 * n:] = scale * THETA0_OFF_DEFAULT.ravel()
-            theta = z[2 * n:].reshape(N, n).copy()
-            xhat = z[n:2 * n]
-            want = law.rhs(theta, grad(xhat), law.coefficient(law.basis_row(t)),
-                           np.empty((N, n)), np.empty((N, n))).tobytes()
-            assert fat.adaptive_rhs(replace(law, theta_hat=theta), grad(xhat), t).tobytes() == want
-            for stage in range(4):
-                before = z.tobytes()
-                got = rhs(t, z, stage)[2 * n:]
-                assert got.tobytes() == want, (t, scale, stage)
-                assert z.tobytes() == before  # the stage input is not written
-    assert law.theta_hat.tobytes() == THETA0_OFF_DEFAULT.tobytes()  # nor is theta_hat
+    for t, z, k in calls:
+        theta, xhat = z[2 * n:].reshape(N, n), z[n:2 * n]
+        want = law.rhs(theta, grad(xhat), law.coefficient(law.basis_rows([t])[0]),
+                       np.empty((N, n)), np.empty((N, n))).tobytes()
+        assert k[2 * n:].tobytes() == want, t
+        assert fat.adaptive_rhs(replace(law, theta_hat=theta), grad(xhat), t).tobytes() == want, t
+    assert law.theta_hat.tobytes() == THETA0_OFF_DEFAULT.tobytes()
 
 
 def test_non_finite_column_is_run_error():
