@@ -141,7 +141,7 @@ class SimConfig:
     @property
     def epsilon_ok(self) -> bool:
         """Whether the configured epsilon lies in (0, epsilon_bound]."""
-        return self.epsilon_bound > 0 and self.adaptive0.epsilon <= self.epsilon_bound + 1e-12
+        return self.epsilon_bound > 0 and self.adaptive0.epsilon <= self.epsilon_bound
 
 
 @dataclass(frozen=True)
@@ -256,15 +256,14 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     tr_th = np.empty((S, N, n)) if adapts else np.empty((S, N))
 
     u_current = np.zeros(m)  # held control, rebound each step
-    row = None  # the basis row
-    coefs: tuple = ()  # the step's law coefficients, one per RK4 stage
+    # the basis row and the step's law coefficients, one per RK4 stage
+    row, coefs = None, ()
     # z = (x, xhat, theta_hat), theta_hat flat, when the run adapts, else
-    # (x, xhat). The rhs writes stage j's derivative into ks[j] through views
-    # of its blocks made here. A state z is read through views made once: the
-    # loop splits its two state buffers, which it alternates so that the
-    # state a step started from stays intact, and swaps their views with
-    # them; the rhs looks z up by id (the entry keeps z alive), which also
-    # covers the integrator's stage state. The last view is the row's
+    # (x, xhat): the one state buffer, which each RK4 step overwrites. The
+    # rhs writes stage j's derivative into ks[j] through views of its blocks
+    # made here. A state is read through its x, xhat and theta_hat views,
+    # made once; the rhs looks z up by id (the entry keeps z alive), which
+    # also covers the integrator's stage state. The last view is the row's
     # estimates, as they started when the run does not adapt.
     z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()] if adapts else [cfg.x0, cfg.xhat0])
     dim = z.shape[0]
@@ -275,20 +274,19 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     leak = np.empty((N, n))  # mu theta_hat, the law's scratch
 
     def split(z: Vector) -> tuple:
-        v = views[id(z)] = (z, z[:n2], z[:n], z[n:n2], z[n2:].reshape(N, n) if adapts else law.theta_hat)
+        v = views[id(z)] = (z[:n], z[n:n2], z[n2:].reshape(N, n) if adapts else law.theta_hat)
         return v
 
     def rhs(t: float, z: Vector, stage: int) -> Vector:
         k, dx, dxhat, dtheta = stages[stage]
-        _, _, x, xhat, theta = views.get(id(z)) or split(z)
+        x, xhat, theta = views.get(id(z)) or split(z)
         np.add(drift(x), input_map(x).dot(u_current), dx)
         dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
         if adapts:
             law_rhs(theta, grad_fn(xhat), coefs[stage], dtheta, leak)
         return k
 
-    z_next = np.empty_like(z)
-    z_views, next_views = split(z), split(z_next)
+    xx, (x, xhat, theta) = z[:n2], split(z)
     zero_z = np.zeros_like(z)
 
     problem = OdeProblem(dim=dim, rhs=rhs)
@@ -304,7 +302,7 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
           memoryview(tr_flags.reshape(-1).view(np.uint8)) as flag_rec):
         for i in range(S):
             t = times.item(i)
-            _, xx, x, xhat, theta = z_views
+            tr_xx[i] = xx  # the step's RunError sample is read from its row
             u_d = u_nominal(t, xhat)
             M = float(bound_value(t))
             # one evaluation of h and h_eps = s_{r-1} - L M - eps serves the row and the trace
@@ -313,24 +311,24 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             if adapts:
                 if i == refill:
                     block_start, refill = i, i + _TABLE_BLOCK
-                    grid, steps = _basis_block(law, times[i:refill + 1])
-                row = grid[i - block_start]
+                    table = _basis_block(law, times[i:refill + 1])
+                row, coefs = table[i - block_start]
                 tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
             if not math.isfinite(coeffs.b):
+                tr_u[i] = u_current
                 raise RunError(f"constraint row became non-finite at t={t:.6g}",
-                               _sample_dict(t, x, xhat, u_current))
+                               _sample(times, tr_xx, tr_u, i, n))
+            # res.u is a new array, on an infeasible row a copy of u_d
             res = solve_halfspace_qp(u_d, coeffs)
+            u = res.u
             if res.feasible:
-                u = res.u
                 last_feasible_u = u
             elif hold and last_feasible_u is not None:
                 u = last_feasible_u
-            else:
-                u = u_d
             u_current = u
 
-            tr_xx[i] = xx; tr_u[i] = u
+            tr_u[i] = u
             j = 5 * i
             f_rec[j] = base_h(x); f_rec[j + 1] = h_hat - base_L * M; f_rec[j + 2] = h_eps
             f_rec[j + 3] = coeffs.residual(u); f_rec[j + 4] = M
@@ -339,15 +337,12 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
 
             if i == S - 1:
                 break
-            if adapts:
-                coefs = steps[i - block_start]
-            z, z_next = rk4_step(problem, t, z, times.item(i + 1) - t, z_next), z
-            z_views, next_views = next_views, z_views
+            rk4_step(problem, t, z, times.item(i + 1) - t, z)
             # 0 * v is +-0 for every finite v and NaN for +-inf or NaN, so the
             # dot is finite exactly when every entry of z is
             if not math.isfinite(z.dot(zero_z)):
                 raise RunError(f"state became non-finite during the step starting at t={t:.6g}",
-                               _sample_dict(t, x, xhat, u))
+                               _sample(times, tr_xx, tr_u, i, n))
 
         # an overflowing norm is reported below as a non-finite column
         if adapts:
@@ -369,25 +364,27 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     if bad_name is not None:
         t = times.item(bad_row)
         raise RunError(f"column {bad_name} became non-finite at t={t:.6g}",
-                       _sample_dict(t, trace.x[bad_row], trace.xhat[bad_row], tr_u[bad_row]))
+                       _sample(times, tr_xx, tr_u, bad_row, n))
     return trace
 
 
-def _basis_block(law: AdaptiveState, ts: np.ndarray) -> tuple[list, list]:
-    """Basis rows at the grid times ts (a float64 slice of the time grid),
-    and for each step between them the law's coefficients at its four RK4
-    stage times: (c(t), c(mid), c(mid), c(t_next)), with the midpoint
-    t + 0.5 (t_next - t) formed elementwise as rk4_step forms it. Stage 4
-    runs at t + (t_next - t), which is t_next exactly on a time_grid."""
+def _basis_block(law: AdaptiveState, ts: np.ndarray) -> list:
+    """One entry per grid time in ts (a float64 slice of the time grid): its
+    basis row and the law's coefficients at the four RK4 stage times of the
+    step it starts, (c(t), c(mid), c(mid), c(t_next)), with the midpoint
+    t + 0.5 (t_next - t) formed elementwise as rk4_step forms it; () for the
+    last time. Stage 4 runs at t + (t_next - t), which is t_next exactly on
+    a time_grid."""
     mids = ts[:-1] + 0.5 * (ts[1:] - ts[:-1])
     rows = law.basis_rows(np.concatenate((ts, mids)))
     c = law.coefficient(rows)
     k = len(ts)
-    return list(rows[:k]), [(c[j], c[k + j], c[k + j], c[j + 1]) for j in range(k - 1)]
+    return list(zip(rows[:k], [(c[j], c[k + j], c[k + j], c[j + 1]) for j in range(k - 1)] + [()]))
 
 
-def _sample_dict(t: float, x: Vector, xhat: Vector, u: Vector) -> dict:
-    return {"t": t, "x": x.copy(), "xhat": xhat.copy(), "u": u.copy()}
+def _sample(times: np.ndarray, tr_xx: np.ndarray, tr_u: np.ndarray, i: int, n: int) -> dict:
+    """A RunError's sample: t, x, xhat and u of trace row i, copied."""
+    return {"t": times.item(i), "x": tr_xx[i, :n].copy(), "xhat": tr_xx[i, n:].copy(), "u": tr_u[i].copy()}
 
 
 def safety_report(trace: SimTrace, cfg: SimConfig) -> SafetyReport:

@@ -671,6 +671,10 @@ def test_cli_step_cap_is_one_error_line(tmp_path):
     pytest.param({"x0": [2, 1.4, 2], "xhat0": [2, 1.4, 2]},
                  "warning: epsilon bound -0.533333 is non-positive; no feasible epsilon exists "
                  "for this initial data (configured epsilon=0.1)", False, id="non-positive"),
+    # epsilon 100 times the bound must fail the verdict: no absolute slack
+    pytest.param({"xhat0": [3, 3.00000000000003, 3], "epsilon": 1e-12},
+                 "warning: epsilon 1e-12 exceeds the feasibility bound 1.0066e-14", False,
+                 id="tiny-bound"),
 ])
 def test_feasibility_line_follows_the_epsilon_verdict(tmp_path, capsys, overrides, line, ok):
     # the CLI's first stdout line is chosen by the same verdict that

@@ -111,6 +111,10 @@ def test_in_place_step_equals_the_allocating_expression(data, dim, nonlinear, t,
     # without out the result is a new array, bit for bit the same
     fresh = rk4_step(prob, t, state, dt)
     assert fresh.tobytes() == kept and not np.shares_memory(fresh, first)
+    # out may be state: a copy stepped into itself holds the same bits
+    own = state.copy()
+    assert rk4_step(prob, t, own, dt, out=own) is own
+    assert own.tobytes() == _rk4_reference(f, t, state, dt).tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -16,6 +16,7 @@ from cbfsim import (
     ErrorBoundModel,
     RunError,
     SimConfig,
+    SimTrace,
     make_preset,
     run_pair,
     run_simulation,
@@ -345,17 +346,20 @@ def test_hold_mode_keeps_last_feasible_control():
     assert np.any(hold.u[65:] != nominal.u[65:])
 
 
-def test_blowup_raises_run_error():
-    cfg = _cfg_1a()
+def _check_blowup_sample(**changes) -> SimTrace:
+    """A run of example1a's config on the drift x^3, with changes, raises
+    RunError at a step start whose sample is that row of the trace; returns
+    the run stopped at that row."""
     unstable = ControlAffineSystem(
         n=3, m=1, k=1,
         drift=lambda x: x ** 3,  # finite-time escape from x0 ~ 2
         input_map=lambda x: np.zeros((3, 1)),
         output_map=lambda x: x[:1],
     )
+    cfg = replace(_cfg_1a(), system=unstable, t_end=1.0, **changes)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RunError) as exc:
-            run_simulation(replace(cfg, system=unstable, t_end=1.0))
+            run_simulation(cfg)
     match = re.match(r"^state became non-finite during the step starting at t=(\S+)$", str(exc.value))
     assert match, str(exc.value)
     sample = exc.value.last_sample
@@ -365,6 +369,25 @@ def test_blowup_raises_run_error():
     assert sample["t"] in time_grid(1.0, cfg.dt)[:-1]
     assert match.group(1) == f"{sample['t']:.6g}"
     assert np.all(np.isfinite(sample["x"]))
+    # byte for byte the last row of the same run stopped where that step began,
+    # u included: the control applied there, not what its array holds later
+    last = run_simulation(replace(cfg, t_end=sample["t"]))
+    assert last.t[-1] == sample["t"]
+    for key in ("x", "xhat", "u"):
+        assert getattr(last, key)[-1].tobytes() == sample[key].tobytes(), key
+    return last
+
+
+def test_blowup_raises_run_error():
+    _check_blowup_sample()
+
+
+def test_blowup_sample_holds_the_applied_u_when_u_d_views_the_state():
+    # every row is infeasible (a = 0, b < 0), so the applied u is u_d, which
+    # here is a view of the estimate the step overwrites in place
+    last = _check_blowup_sample(barrier=BarrierChain.affine((1, 0, 0), -100.0),
+                                controller="baseline", u_nominal=lambda t, xhat: xhat[:1])
+    assert not last.qp_feasible.any()
 
 
 def _run_capturing_states(monkeypatch, cfg: SimConfig) -> tuple[RunError, np.ndarray]:
@@ -373,7 +396,7 @@ def _run_capturing_states(monkeypatch, cfg: SimConfig) -> tuple[RunError, np.nda
     step = simloop.rk4_step
 
     def capturing(problem, t, z, dt, out):
-        states.append(step(problem, t, z, dt, out).copy())  # out is reused two steps on
+        states.append(step(problem, t, z, dt, out).copy())  # out is z, stepped on in place
         return out
 
     monkeypatch.setattr(simloop, "rk4_step", capturing)
