@@ -20,28 +20,30 @@ Vector = np.ndarray
 class OdeProblem:
     """An ODE z' = rhs(t, z, stage) on float arrays of length dim.
 
-    rk4_step calls rhs once per stage, stage = 0, 1, 2, 3. rhs returns the
-    derivative at (t, z), typically written into an array it keeps for that
-    stage; the step may read each of the four until it ends, so rhs needs a
-    separate array per stage. rhs must not return z or a view of it, nor
-    rely on z's values once it returns: from stage 1 on z is the problem's
-    work buffer, which the step overwrites. Views of z that rhs keeps it
-    must read afresh on each call.
+    rk4_step calls rhs once per stage, stage = 0, 1, 2, 3: z is the step's
+    state itself at stage 0 and the problem's `stage` buffer itself at
+    stages 1-3, so rhs may read z through views of those two arrays made
+    once. rhs returns the derivative at (t, z), typically written into an
+    array it keeps for that stage; the step may read each of the four until
+    it ends, so rhs needs a separate array per stage. rhs must not return z
+    or a view of it, nor rely on z's values once it returns: the step
+    overwrites `stage` between stages.
     """
 
     dim: int
     rhs: Callable[[float, Vector, int], Vector]
-    # rk4_step's work buffers: the stage state and the weighted sum of the
-    # stage derivatives, sized from dim, and the step's three multipliers
-    # dt/2, dt and dt/6 (a ufunc takes a 0-d array faster than a float)
-    _stage: Vector = field(init=False, repr=False, compare=False)
+    # the stage state rk4_step hands rhs at stages 1-3, sized from dim
+    stage: Vector = field(init=False, repr=False, compare=False)
+    # rk4_step's other work buffers: the weighted sum of the stage
+    # derivatives and the step's three multipliers dt/2, dt and dt/6 (a
+    # ufunc takes a 0-d array faster than a float)
     _acc: Vector = field(init=False, repr=False, compare=False)
     _scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1:
             raise ValueError("dim must be positive")
-        object.__setattr__(self, "_stage", np.empty(self.dim))
+        object.__setattr__(self, "stage", np.empty(self.dim))
         object.__setattr__(self, "_acc", np.empty(self.dim))
         object.__setattr__(self, "_scales", (np.empty(()), np.empty(()), np.empty(())))
 
@@ -53,11 +55,14 @@ def rk4_step(problem: OdeProblem, t: float, state: Vector, dt: float,
     new array when out is None) and returned.
 
     state, out and every rhs value are float arrays of length dim. state is
-    not written unless it is out. The stage states and the weighted sum
-    live in the problem's work buffers, so a problem takes one step at a
-    time. A non-finite rhs value gives a non-finite state, returned as is.
+    not written unless it is out. The calls are rhs(t, state, 0),
+    rhs(t + dt/2, problem.stage, 1), rhs(t + dt/2, problem.stage, 2) and
+    rhs(t + dt, problem.stage, 3), in that order. The stage states and the
+    weighted sum live in the problem's work buffers, so a problem takes one
+    step at a time. A non-finite rhs value gives a non-finite state,
+    returned as is.
     """
-    rhs, stage, acc = problem.rhs, problem._stage, problem._acc
+    rhs, stage, acc = problem.rhs, problem.stage, problem._acc
     half, whole, sixth = problem._scales
     half.fill(0.5 * dt)
     whole.fill(dt)

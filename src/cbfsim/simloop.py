@@ -251,50 +251,44 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     # two, which costs less than assigning a tuple to a numpy row.
     tr_xx = np.empty((S, n2)); tr_u = np.empty((S, m))
     tr_f = np.empty((S, 5)); tr_flags = np.empty((S, 2), dtype=bool)
-    # theta_hat rows, squared and reduced to norms after the loop; when the
-    # run does not adapt, theta_hat stays as it started
-    tr_th = np.empty((S, N, n)) if adapts else np.empty((S, N))
+    # theta_hat rows, squared and reduced to norms after the loop; a run
+    # that does not adapt fills them with theta_hat as it started
+    tr_th = np.empty((S, N, n))
 
-    u_current = np.zeros(m)  # held control, rebound each step
     # the basis row and the step's law coefficients, one per RK4 stage
     row, coefs = None, ()
     # z = (x, xhat, theta_hat), theta_hat flat, when the run adapts, else
-    # (x, xhat): the one state buffer, which each RK4 step overwrites. The
-    # rhs writes stage j's derivative into ks[j] through views of its blocks
-    # made here. A state is read through its x, xhat and theta_hat views,
-    # made once; the rhs looks z up by id (the entry keeps z alive), which
-    # also covers the integrator's stage state. The last view is the row's
-    # estimates, as they started when the run does not adapt.
+    # (x, xhat): the one state buffer, which each RK4 step overwrites.
+    # rk4_step hands the rhs z at stage 0 and problem.stage at stages 1-3, so
+    # io[j] holds, made once, the views the rhs uses at stage j: the dx,
+    # dxhat and dtheta blocks of ks[j], its derivative, and the x, xhat and
+    # theta_hat blocks of its state, the last the estimates as they started
+    # when the run does not adapt.
     z = np.concatenate([cfg.x0, cfg.xhat0, law.theta_hat.ravel()] if adapts else [cfg.x0, cfg.xhat0])
     dim = z.shape[0]
     ks = np.empty((4, dim))
-    stages = [(k, k[:n], k[n:n2], k[n2:].reshape(-1, n)) for k in ks]
-    views: dict = {}
     law_rhs = law.rhs
     leak = np.empty((N, n))  # mu theta_hat, the law's scratch
 
-    def split(z: Vector) -> tuple:
-        v = views[id(z)] = (z[:n], z[n:n2], z[n2:].reshape(N, n) if adapts else law.theta_hat)
-        return v
-
     def rhs(t: float, z: Vector, stage: int) -> Vector:
-        k, dx, dxhat, dtheta = stages[stage]
-        x, xhat, theta = views.get(id(z)) or split(z)
-        np.add(drift(x), input_map(x).dot(u_current), dx)
-        dxhat[...] = obs_rhs(xhat, output_map(x), u_current, t)
+        k, dx, dxhat, dtheta, x, xhat, theta = io[stage]
+        np.add(drift(x), input_map(x).dot(u), dx)
+        dxhat[...] = obs_rhs(xhat, output_map(x), u, t)
         if adapts:
             law_rhs(theta, grad_fn(xhat), coefs[stage], dtheta, leak)
         return k
 
-    xx, (x, xhat, theta) = z[:n2], split(z)
+    problem = OdeProblem(dim=dim, rhs=rhs)
+    io = [(k, k[:n], k[n:n2], k[n2:].reshape(-1, n), v[:n], v[n:n2],
+           v[n2:].reshape(N, n) if adapts else law.theta_hat)
+          for k, v in zip(ks, (z, problem.stage, problem.stage, problem.stage))]
+    xx, (x, xhat, theta) = z[:n2], io[0][4:]
     zero_z = np.zeros_like(z)
 
-    problem = OdeProblem(dim=dim, rhs=rhs)
     hold = cfg.on_infeasible == "hold"
     u_nominal = cfg.u_nominal
     eps = law.epsilon
     last_feasible_u: Optional[Vector] = None
-    block_start = refill = 0  # the current table's first row, and the next's
 
     # A value that overflows is caught below (the state after each step, the
     # row's b, every column at the end), not warned about step by step.
@@ -309,24 +303,24 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
             h_hat = float(base_h(xhat))
             h_eps = (h_hat if top == 0 else float(top_s(xhat))) - L_top * M - eps
             if adapts:
-                if i == refill:
-                    block_start, refill = i, i + _TABLE_BLOCK
-                    table = _basis_block(law, times[i:refill + 1])
-                row, coefs = table[i - block_start]
+                j = i % _TABLE_BLOCK
+                if j == 0:
+                    table = _basis_block(law, times[i:i + _TABLE_BLOCK + 1])
+                row, coefs = table[j]
                 tr_th[i] = theta
             coeffs = row_fn(cfg, xhat, h_hat, h_eps, theta, t, row)
             if not math.isfinite(coeffs.b):
-                tr_u[i] = u_current
+                tr_u[i] = u_d  # what u_nominal returned; no filter acted on it
                 raise RunError(f"constraint row became non-finite at t={t:.6g}",
                                _sample(times, tr_xx, tr_u, i, n))
-            # res.u is a new array, on an infeasible row a copy of u_d
+            # res.u is a new array, on an infeasible row a copy of u_d; u is
+            # the control the rhs holds over the step
             res = solve_halfspace_qp(u_d, coeffs)
             u = res.u
             if res.feasible:
                 last_feasible_u = u
             elif hold and last_feasible_u is not None:
                 u = last_feasible_u
-            u_current = u
 
             tr_u[i] = u
             j = 5 * i
@@ -344,13 +338,12 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
                 raise RunError(f"state became non-finite during the step starting at t={t:.6g}",
                                _sample(times, tr_xx, tr_u, i, n))
 
-        # an overflowing norm is reported below as a non-finite column
-        if adapts:
-            # np.linalg.norm(theta, axis=1) per row, without its dispatch: same bits
-            np.multiply(tr_th, tr_th, out=tr_th)
-            tr_th = np.sqrt(np.add.reduce(tr_th, axis=2))
-        else:
-            tr_th[:] = np.linalg.norm(law.theta_hat, axis=1)
+        if not adapts:
+            tr_th[...] = law.theta_hat
+        # each row's 2-norm by numpy's own norm formula, without its dispatch:
+        # the same bits; an overflow is reported below as a non-finite column
+        np.multiply(tr_th, tr_th, out=tr_th)
+        tr_th = np.sqrt(np.add.reduce(tr_th, axis=2))
     trace = SimTrace(
         t=times, x=tr_xx[:, :n], xhat=tr_xx[:, n:], u=tr_u, h_true=tr_f[:, 0],
         h0=tr_f[:, 1], barrier_eps=tr_f[:, 2], residual=tr_f[:, 3], M=tr_f[:, 4],

@@ -117,6 +117,33 @@ def test_in_place_step_equals_the_allocating_expression(data, dim, nonlinear, t,
     assert own.tobytes() == _rk4_reference(f, t, state, dt).tobytes()
 
 
+@pytest.mark.parametrize("out", ["none", "separate", "state"])
+def test_rhs_sees_the_state_then_the_stage_buffer(out):
+    # the call contract a caller may build views on: stage 0 gets state
+    # itself, stages 1-3 the problem's stage buffer itself, at t, t + dt/2,
+    # t + dt/2 and t + dt, on every step
+    calls = []
+    ks = np.empty((4, 3))
+
+    def rhs(t, z, stage):
+        calls.append((t, z, stage))
+        np.negative(z, ks[stage])
+        return ks[stage]
+
+    prob = OdeProblem(dim=3, rhs=rhs)
+    state = np.array([1.0, -2.0, 0.5])
+    target = {"none": None, "separate": np.empty(3), "state": state}[out]
+    t, dt = 0.3, 0.125
+    for _ in range(2):
+        calls.clear()
+        rk4_step(prob, t, state, dt, out=target)
+        assert [stage for _, _, stage in calls] == [0, 1, 2, 3]
+        assert [time for time, _, _ in calls] == [t, t + dt / 2, t + dt / 2, t + dt]
+        assert calls[0][1] is state
+        assert all(z is prob.stage for _, z, _ in calls[1:])
+        t += dt
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=hst.data(), dim=hst.integers(1, 8), t=hst.floats(0.0, 100.0),
        dt1=hst.floats(1e-6, 1.0), dt2=hst.floats(1e-6, 1.0))

@@ -7,6 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+from hypothesis.extra import numpy as hnp
 
 from cbfsim import (
     AdaptiveState,
@@ -28,6 +31,7 @@ from cbfsim.dynamics import make_example1_system
 from cbfsim.integrator import time_grid
 from cbfsim.observer import make_luenberger
 from cbfsim.presets import LUENBERGER_GAIN
+from cbfsim.simloop import INFEASIBLE_MODES
 
 
 def _cfg_1a() -> SimConfig:
@@ -436,6 +440,41 @@ def test_non_finite_estimates_alone_are_caught_after_their_step(monkeypatch):
     assert np.isfinite(z[:6]).all() and not np.isfinite(z[6:]).all()
 
 
+def test_non_finite_row_at_t0_samples_the_nominal_u():
+    # gamma * h overflows on the baseline row at t = 0: no step applied a u,
+    # so the sample's u is the one u_nominal returned for that row
+    cfg = replace(_cfg_1a(), controller="baseline", baseline_gamma=1e308)
+    with pytest.raises(RunError, match=r"^constraint row became non-finite at t=0$") as exc:
+        run_simulation(cfg)
+    sample = exc.value.last_sample
+    assert sample["t"] == 0.0
+    assert sample["u"].tobytes() == cfg.u_nominal(0.0, cfg.xhat0).tobytes()
+    first = run_simulation(replace(cfg, controller="proposed", t_end=0.0))
+    for key in ("x", "xhat"):
+        assert sample[key].tobytes() == getattr(first, key)[0].tobytes(), key
+
+
+@pytest.mark.parametrize("on_infeasible", INFEASIBLE_MODES)
+def test_non_finite_row_after_some_steps_samples_the_nominal_u(monkeypatch, on_infeasible):
+    # h is inf once xhat3 passes 3.003, which example1a's estimate does at
+    # row 4 (t = 0.004); rows 0-3 are feasible and the QP moved their u off
+    # u_d, so the u still held differs from the sample's
+    cfg = _cfg_1a()
+    level = cfg.barrier.s[0]
+    chain = replace(cfg.barrier, s=(lambda x: level(x) if x[2] < 3.003 else math.inf,))
+    cfg = replace(cfg, barrier=chain, on_infeasible=on_infeasible, t_end=0.05)
+    err, z = _run_capturing_states(monkeypatch, cfg)
+    assert str(err) == "constraint row became non-finite at t=0.004"
+    sample = err.last_sample
+    assert sample["t"] == time_grid(0.05, cfg.dt)[4]
+    # the state the last step produced, at which the row failed
+    assert sample["x"].tobytes() == z[:3].tobytes()
+    assert sample["xhat"].tobytes() == z[3:6].tobytes()
+    assert sample["u"].tobytes() == cfg.u_nominal(sample["t"], sample["xhat"]).tobytes()
+    held = run_simulation(replace(cfg, t_end=0.003)).u[-1]
+    assert held.tobytes() != sample["u"].tobytes()
+
+
 @pytest.mark.parametrize("controller", ["proposed", "baseline"])
 def test_huge_finite_state_is_not_non_finite(controller):
     # 0 * v is 0 for every finite v, however large: a state near 1e300 runs
@@ -614,6 +653,24 @@ def test_loop_law_derivative_equals_the_law_byte_for_byte(monkeypatch, name):
         assert k[2 * n:].tobytes() == want, t
         assert fat.adaptive_rhs(replace(law, theta_hat=theta), grad(xhat), t).tobytes() == want, t
     assert law.theta_hat.tobytes() == THETA0_OFF_DEFAULT.tobytes()
+
+
+@pytest.mark.parametrize("name", ["example1a", "example1c", "example2"])
+@settings(max_examples=10, deadline=None)
+@given(data=hst.data())
+def test_estimates_on_an_affine_chain_do_not_depend_on_the_state(name, data):
+    # every preset chain is affine, so the law reads t and a constant
+    # gradient alone: moving x0 and xhat0 (draws within three standard
+    # deviations of N(0, 0.3^2)) and holding any constant u_d leaves
+    # theta_hat, bit for bit, as in the preset's run; t_end 0.3 crosses
+    # four table seams
+    cfg = replace(make_preset(name).cfg, t_end=0.3)
+    n, m = cfg.system.n, cfg.system.m
+    moves = hnp.arrays(np.float64, n, elements=hst.floats(-0.9, 0.9))
+    u_d = data.draw(hnp.arrays(np.float64, m, elements=hst.floats(-5.0, 5.0)))
+    moved = replace(cfg, x0=cfg.x0 + data.draw(moves), xhat0=cfg.xhat0 + data.draw(moves),
+                    u_nominal=lambda t, xhat: u_d)
+    assert run_simulation(moved).theta_norms.tobytes() == run_simulation(cfg).theta_norms.tobytes()
 
 
 def test_non_finite_column_is_run_error():
