@@ -98,6 +98,9 @@ class SimConfig:
             raise ValueError(f"t_end / dt asks for {steps:.6g} steps; at most {MAX_STEPS} are allowed")
         top_frequency = self.adaptive0.terms[-1][1]
         if not math.isfinite(top_frequency * max(self.t_end, 1.0)):
+            if math.isfinite(top_frequency):
+                raise ValueError(f"t_end {self.t_end:g} is too large for omega {self.adaptive0.omega:g}: "
+                                 "the top basis frequency times t_end overflows")
             raise ValueError(
                 f"omega {self.adaptive0.omega:g} is too large: the top basis frequency "
                 "or its product with t_end overflows")
@@ -226,7 +229,8 @@ def run_simulation(cfg: SimConfig) -> SimTrace:
     """Integrate one closed-loop run and return its trace.
 
     Raises RunError (carrying the last valid sample) if the state, the
-    constraint row or any recorded column leaves the finite range.
+    constraint row or any recorded column leaves the finite range. Its
+    specification is tests/reference_loop.py: the same trace or RunError, bit for bit.
     """
     sys_ = cfg.system
     drift, input_map, output_map = sys_.drift, sys_.input_map, sys_.output_map

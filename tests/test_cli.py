@@ -555,6 +555,9 @@ def test_cli_non_finite_config_value_is_one_error_line(tmp_path):
     ({"mu": -2}, "mu must be > 0"),
     ({"omega": 0}, "omega must be > 0"),  # AdaptiveState, the series' frequency
     ({"E": -0.5}, "E must be >= 0"),
+    # SimConfig: the top basis frequency 2 omega is finite, its product with t_end is not
+    ({"t_end": 1e308, "dt": 1e308},
+     "t_end 1e+308 is too large for omega 1: the top basis frequency times t_end overflows"),
 ])
 def test_range_and_enum_errors_come_from_the_constructors(tmp_path, capsys, override, message):
     cfg_path = tmp_path / "run.json"

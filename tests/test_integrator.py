@@ -9,6 +9,7 @@ from scipy.linalg import expm
 
 from cbfsim.dynamics import EXAMPLE1_A
 from cbfsim.integrator import OdeProblem, rk4_step, time_grid
+from reference_loop import rk4_reference
 
 
 def test_zero_field_fixed_point():
@@ -68,18 +69,6 @@ def test_determinism():
     assert a.tobytes() == b.tobytes()
 
 
-def _rk4_reference(f, t, state, dt):
-    """The allocating expression rk4_step computes in place: a new array per
-    stage state and per term of the weighted sum."""
-    half = 0.5 * dt
-    t_mid = t + half
-    k1 = f(t, state)
-    k2 = f(t_mid, state + half * k1)
-    k3 = f(t_mid, state + half * k2)
-    k4 = f(t + dt, state + dt * k3)
-    return state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
-
-
 @settings(max_examples=200, deadline=None)
 @given(data=hst.data(), dim=hst.integers(1, 16), nonlinear=hst.booleans(),
        t=hst.floats(0.0, 100.0), dt=hst.floats(1e-6, 1.0))
@@ -102,19 +91,19 @@ def test_in_place_step_equals_the_allocating_expression(data, dim, nonlinear, t,
     first, second = np.empty(dim), np.empty(dim)
     assert rk4_step(prob, t, state, dt, out=first) is first
     assert state.tobytes() == before  # state is never written
-    assert first.tobytes() == _rk4_reference(f, t, state, dt).tobytes()
+    assert first.tobytes() == rk4_reference(f, t, state, dt).tobytes()
     # the next step reuses every work buffer; it leaves the last result intact
     kept = first.tobytes()
     assert rk4_step(prob, t + dt, first, dt, out=second) is second
     assert first.tobytes() == kept
-    assert second.tobytes() == _rk4_reference(f, t + dt, first, dt).tobytes()
+    assert second.tobytes() == rk4_reference(f, t + dt, first, dt).tobytes()
     # without out the result is a new array, bit for bit the same
     fresh = rk4_step(prob, t, state, dt)
     assert fresh.tobytes() == kept and not np.shares_memory(fresh, first)
     # out may be state: a copy stepped into itself holds the same bits
     own = state.copy()
     assert rk4_step(prob, t, own, dt, out=own) is own
-    assert own.tobytes() == _rk4_reference(f, t, state, dt).tobytes()
+    assert own.tobytes() == rk4_reference(f, t, state, dt).tobytes()
 
 
 @pytest.mark.parametrize("out", ["none", "separate", "state"])
@@ -165,7 +154,7 @@ def test_steps_of_changing_size_equal_the_allocating_expression(data, dim, t, dt
     prob = OdeProblem(dim=dim, rhs=rhs)
     for dt in (dt1, dt1, dt2, dt1):
         nxt = rk4_step(prob, t, state, dt)
-        assert nxt.tobytes() == _rk4_reference(f, t, state, dt).tobytes(), dt
+        assert nxt.tobytes() == rk4_reference(f, t, state, dt).tobytes(), dt
         t, state = t + dt, nxt
 
 

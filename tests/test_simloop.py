@@ -17,6 +17,7 @@ from cbfsim import (
     ControlAffineSystem,
     EeqObserver,
     ErrorBoundModel,
+    PRESET_NAMES,
     RunError,
     SimConfig,
     SimTrace,
@@ -31,7 +32,8 @@ from cbfsim.dynamics import make_example1_system
 from cbfsim.integrator import time_grid
 from cbfsim.observer import make_luenberger
 from cbfsim.presets import LUENBERGER_GAIN
-from cbfsim.simloop import INFEASIBLE_MODES
+from cbfsim.simloop import CONTROLLERS, INFEASIBLE_MODES
+from reference_loop import differing_columns, reference_run
 
 
 def _cfg_1a() -> SimConfig:
@@ -313,11 +315,11 @@ def test_perfect_information_matches_baseline():
     assert prop.qp_active[0] and base.qp_active[0]
 
 
-def test_hold_mode_keeps_last_feasible_control():
-    # scalar plant with zero input map: a = 0 always, and b(t) = 1.94 - 3t
-    # flips sign between t = 0.64 and t = 0.65. After that the QP is
-    # infeasible; "hold" must repeat the last feasible control while
-    # "nominal" keeps tracking the time-varying nominal.
+def _scalar_cfg(xhat_rate: float, u_nominal=lambda t, xh: np.array([math.sin(t) + 2.0]),
+                **changes) -> SimConfig:
+    """A scalar plant at rest with zero input map, so a = 0 on every row,
+    estimated by xhat' = xhat_rate under M(t) = t: the proposed row's b(t)
+    is 1.94 - 3 (1 - xhat_rate) t, so rows turn infeasible at a known t."""
     bound = ErrorBoundModel(value=lambda t: t, derivative=lambda t: 1.0)
     sys_ = ControlAffineSystem(
         n=1, m=1, k=1,
@@ -325,8 +327,8 @@ def test_hold_mode_keeps_last_feasible_control():
         input_map=lambda x: np.zeros((1, 1)),
         output_map=lambda x: x.copy(),
     )
-    obs = EeqObserver(rhs=lambda xh, y, u, t: np.zeros(1), bound=bound)
-    cfg = SimConfig(
+    obs = EeqObserver(rhs=lambda xh, y, u, t: np.full(1, xhat_rate), bound=bound)
+    return SimConfig(
         system=sys_,
         observer=obs,
         barrier=BarrierChain(s=(lambda x: x[0],), grad_s=(lambda x: np.ones(1),), L_k=(1.0,)),
@@ -334,10 +336,16 @@ def test_hold_mode_keeps_last_feasible_control():
                                 theta_bar=np.array([1e-8]),
                                 epsilon=0.01, mu=3.0),
         x0=np.ones(1), xhat0=np.ones(1),
-        u_nominal=lambda t, xh: np.array([math.sin(t) + 2.0]),
-        t_end=1.0, dt=0.01,
-        on_infeasible="hold",
+        u_nominal=u_nominal,
+        **changes,
     )
+
+
+def test_hold_mode_keeps_last_feasible_control():
+    # b(t) = 1.94 - 3t flips sign between t = 0.64 and t = 0.65. After that
+    # the QP is infeasible; "hold" must repeat the last feasible control
+    # while "nominal" keeps tracking the time-varying nominal.
+    cfg = _scalar_cfg(0.0, t_end=1.0, dt=0.01, on_infeasible="hold")
     hold = run_simulation(cfg)
     nominal = run_simulation(replace(cfg, on_infeasible="nominal"))
 
@@ -350,17 +358,28 @@ def test_hold_mode_keeps_last_feasible_control():
     assert np.any(hold.u[65:] != nominal.u[65:])
 
 
-def _check_blowup_sample(**changes) -> SimTrace:
-    """A run of example1a's config on the drift x^3, with changes, raises
-    RunError at a step start whose sample is that row of the trace; returns
-    the run stopped at that row."""
+def _unstable_cfg(**changes) -> SimConfig:
+    """example1a's config on the drift x^3 to t_end 1, with changes."""
     unstable = ControlAffineSystem(
         n=3, m=1, k=1,
         drift=lambda x: x ** 3,  # finite-time escape from x0 ~ 2
         input_map=lambda x: np.zeros((3, 1)),
         output_map=lambda x: x[:1],
     )
-    cfg = replace(_cfg_1a(), system=unstable, t_end=1.0, **changes)
+    return replace(_cfg_1a(), system=unstable, t_end=1.0, **changes)
+
+
+def _infeasible_view_changes() -> dict:
+    """Every row infeasible (a = 0, b < 0) and u_d a view of the estimate."""
+    return {"barrier": BarrierChain.affine((1, 0, 0), -100.0), "controller": "baseline",
+            "u_nominal": lambda t, xhat: xhat[:1]}
+
+
+def _check_blowup_sample(**changes) -> SimTrace:
+    """A run of _unstable_cfg(**changes) raises RunError at a step start
+    whose sample is that row of the trace; returns the run stopped at that
+    row."""
+    cfg = _unstable_cfg(**changes)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RunError) as exc:
             run_simulation(cfg)
@@ -389,8 +408,7 @@ def test_blowup_raises_run_error():
 def test_blowup_sample_holds_the_applied_u_when_u_d_views_the_state():
     # every row is infeasible (a = 0, b < 0), so the applied u is u_d, which
     # here is a view of the estimate the step overwrites in place
-    last = _check_blowup_sample(barrier=BarrierChain.affine((1, 0, 0), -100.0),
-                                controller="baseline", u_nominal=lambda t, xhat: xhat[:1])
+    last = _check_blowup_sample(**_infeasible_view_changes())
     assert not last.qp_feasible.any()
 
 
@@ -443,7 +461,7 @@ def test_non_finite_estimates_alone_are_caught_after_their_step(monkeypatch):
 def test_non_finite_row_at_t0_samples_the_nominal_u():
     # gamma * h overflows on the baseline row at t = 0: no step applied a u,
     # so the sample's u is the one u_nominal returned for that row
-    cfg = replace(_cfg_1a(), controller="baseline", baseline_gamma=1e308)
+    cfg = FAILING_CONFIGS["row-overflow-t0"]()
     with pytest.raises(RunError, match=r"^constraint row became non-finite at t=0$") as exc:
         run_simulation(cfg)
     sample = exc.value.last_sample
@@ -454,15 +472,20 @@ def test_non_finite_row_at_t0_samples_the_nominal_u():
         assert sample[key].tobytes() == getattr(first, key)[0].tobytes(), key
 
 
-@pytest.mark.parametrize("on_infeasible", INFEASIBLE_MODES)
-def test_non_finite_row_after_some_steps_samples_the_nominal_u(monkeypatch, on_infeasible):
-    # h is inf once xhat3 passes 3.003, which example1a's estimate does at
-    # row 4 (t = 0.004); rows 0-3 are feasible and the QP moved their u off
-    # u_d, so the u still held differs from the sample's
+def _infinite_level_cfg(on_infeasible: str) -> SimConfig:
+    """example1a to t_end 0.05 with h inf once xhat3 passes 3.003, which the
+    estimate does at row 4 (t = 0.004)."""
     cfg = _cfg_1a()
     level = cfg.barrier.s[0]
     chain = replace(cfg.barrier, s=(lambda x: level(x) if x[2] < 3.003 else math.inf,))
-    cfg = replace(cfg, barrier=chain, on_infeasible=on_infeasible, t_end=0.05)
+    return replace(cfg, barrier=chain, on_infeasible=on_infeasible, t_end=0.05)
+
+
+@pytest.mark.parametrize("on_infeasible", INFEASIBLE_MODES)
+def test_non_finite_row_after_some_steps_samples_the_nominal_u(monkeypatch, on_infeasible):
+    # rows 0-3 are feasible and the QP moved their u off u_d, so the u still
+    # held at row 4, where h is inf, differs from the sample's
+    cfg = _infinite_level_cfg(on_infeasible)
     err, z = _run_capturing_states(monkeypatch, cfg)
     assert str(err) == "constraint row became non-finite at t=0.004"
     sample = err.last_sample
@@ -599,13 +622,14 @@ def _counting_basis(monkeypatch) -> dict:
     ("B-1", False), ("B", False), ("B+1", False), ("2B+1", False), ("B+1", True)])
 def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
     # runs ending just before, on and after a block seam, and one whose last
-    # step is shortened, emit the same CSV with one step per table, the
-    # default block and one table for the whole run; every distinct stage
-    # time is evaluated once, and each seam's grid time once more
+    # step is shortened, emit the reference's CSV with one step per table,
+    # the default block and one table for the whole run; every distinct
+    # stage time is evaluated once, and each seam's grid time once more
     B = simloop._TABLE_BLOCK
     rows = {"B-1": B - 1, "B": B, "B+1": B + 1, "2B+1": 2 * B + 1}[rows]
     t_end = (rows - 1) * 0.01 - (0.0055 if short else 0.0)
     cfg = replace(make_preset("example2").cfg, t_end=t_end, dt=0.01)
+    want = emit_csv(reference_run(cfg))
     counts = _counting_basis(monkeypatch)
     csvs = set()
     for block in (1, B, rows):
@@ -615,7 +639,7 @@ def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
         assert len(trace) == rows and trace.t[-1] == t_end
         assert counts["rows"] == 2 * rows + math.ceil(rows / block) - 2, block
         csvs.add(emit_csv(trace))
-    assert len(csvs) == 1
+    assert csvs == {want}
 
 
 @pytest.mark.parametrize("name", ["example1a", "example1c", "example2"])
@@ -676,10 +700,8 @@ def test_estimates_on_an_affine_chain_do_not_depend_on_the_state(name, data):
 def test_non_finite_column_is_run_error():
     # the baseline row does not read M(t), so an error bound that overflows
     # left the state finite and wrote -inf into h0 and inf into M
-    cfg = make_preset("example1a").cfg
-    observer = replace(cfg.observer, bound=ErrorBoundModel.exponential(2.0, -800.0))
     with pytest.raises(RunError, match=r"^column h0 became non-finite at t=0\.89$") as exc:
-        run_simulation(replace(cfg, observer=observer, controller="baseline", t_end=1.0, dt=0.01))
+        run_simulation(FAILING_CONFIGS["bound-overflow"]())
     assert exc.value.last_sample["t"] == pytest.approx(0.89)
     assert np.all(np.isfinite(exc.value.last_sample["x"]))
 
@@ -688,10 +710,9 @@ def test_cubic_observer_divergence_is_run_error():
     # at dt = 0.1 RK4 diverges on example2's cubic observer; e^3 beyond the
     # float range must become inf and end the run in RunError, not raise
     # OverflowError from the observer
-    cfg = replace(make_preset("example2").cfg, dt=0.1)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RunError) as exc:
-            run_simulation(cfg)
+            run_simulation(FAILING_CONFIGS["example2-dt-0.1"]())
     assert exc.value.last_sample["t"] == pytest.approx(7.5)
 
 
@@ -754,3 +775,90 @@ def test_output_map_returning_a_view_of_the_state_gives_the_same_bytes(controlle
     cfg = replace(make_preset("example2").cfg, t_end=0.2, controller=controller)
     view = replace(cfg, system=replace(cfg.system, output_map=lambda x: x[:1]))
     assert emit_csv(run_simulation(view)) == emit_csv(run_simulation(cfg))
+
+
+def _overflowing_bound_cfg() -> SimConfig:
+    """example1a's baseline, which does not read M(t) in its row, under
+    M(t) = 2 e^(800 t): the state stays finite while h0 and M overflow."""
+    cfg = _cfg_1a()
+    observer = replace(cfg.observer, bound=ErrorBoundModel.exponential(2.0, -800.0))
+    return replace(cfg, observer=observer, controller="baseline", t_end=1.0, dt=0.01)
+
+
+# configs whose run raises RunError: at a step, at a row or at a column
+FAILING_CONFIGS = {
+    "x3-blowup": _unstable_cfg,
+    "x3-blowup-infeasible-view-u_d": lambda: _unstable_cfg(**_infeasible_view_changes()),
+    "row-overflow-t0": lambda: replace(_cfg_1a(), controller="baseline", baseline_gamma=1e308),
+    "infinite-level-nominal": lambda: _infinite_level_cfg("nominal"),
+    "infinite-level-hold": lambda: _infinite_level_cfg("hold"),
+    "bound-overflow": _overflowing_bound_cfg,
+    "example2-dt-0.1": lambda: replace(make_preset("example2").cfg, dt=0.1),
+}
+
+
+def _assert_equals_reference(cfg: SimConfig):
+    """run_simulation(cfg) equals tests/reference_loop.py's reference_run:
+    every column with its dtype, byte for byte, or the same RunError message
+    and sample bytes. Returns the trace, or None after a RunError."""
+    try:
+        trace = run_simulation(cfg)
+    except RunError as err:
+        with pytest.raises(RunError) as ref:
+            reference_run(cfg)
+        assert str(ref.value) == str(err)
+        got, want = ref.value.last_sample, err.last_sample
+        assert set(got) == set(want) == {"t", "x", "xhat", "u"}
+        for key in want:
+            assert np.asarray(got[key]).tobytes() == np.asarray(want[key]).tobytes(), key
+        return None
+    assert differing_columns(trace, reference_run(cfg)) == []
+    return trace
+
+
+@pytest.mark.parametrize("controller", CONTROLLERS)
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_loop_equals_the_reference_on_every_preset(name, controller):
+    # 2001 rows cross 31 seams of the law's 64-step tables
+    cfg = replace(make_preset(name).cfg, controller=controller, t_end=2.0)
+    assert len(_assert_equals_reference(cfg)) == 2001
+
+
+def test_loop_equals_the_reference_on_rows_that_turn_infeasible_under_hold():
+    # 81 of 201 rows are feasible; u_d views the estimate, so the u held
+    # after row 80 must be the QP's value, not the estimate as it moves on
+    cfg = _scalar_cfg(0.2, on_infeasible="hold", u_nominal=lambda t, xhat: xhat[:1], t_end=2.0, dt=0.01)
+    assert np.count_nonzero(_assert_equals_reference(cfg).qp_feasible) == 81
+
+
+@pytest.mark.parametrize("name", FAILING_CONFIGS)
+def test_reference_raises_the_loops_run_error(name):
+    assert _assert_equals_reference(FAILING_CONFIGS[name]()) is None
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=hst.data(), scenario=hst.sampled_from(PRESET_NAMES + ("switching",)),
+       dt=hst.floats(1e-3, 0.05), steps=hst.integers(1, 80),
+       short=hst.one_of(hst.just(0.0), hst.floats(0.01, 0.99)), omega=hst.floats(0.2, 5.0))
+def test_loop_equals_the_reference_off_the_presets(data, scenario, dt, steps, short, omega):
+    # dt with or without a shortened last step, omega, a drawn theta_hat0,
+    # the infeasible policy and a u_nominal that returns a view of xhat; on
+    # the scalar plant whose rows switch from feasible to infeasible at
+    # t = 0.81 under "hold", u_d is always such a view
+    if scenario == "switching":
+        cfg, view = _scalar_cfg(0.2, on_infeasible="hold"), True
+        dt, t_end = 0.005 + dt, 1.0 + steps * 0.02 + short
+    else:
+        cfg = make_preset(scenario).cfg
+        t_end, view = (steps + short) * dt, data.draw(hst.booleans())
+        controller = data.draw(hst.sampled_from(tuple(CONTROLLERS)))
+        cfg = replace(cfg, controller=controller, on_infeasible=data.draw(hst.sampled_from(INFEASIBLE_MODES)))
+    law = cfg.adaptive0
+    theta0 = data.draw(hnp.arrays(np.float64, law.theta_hat.shape, elements=hst.floats(-0.1, 0.1)))
+    cfg = replace(cfg, t_end=t_end, dt=dt, adaptive0=replace(law, theta_hat=theta0, omega=omega))
+    if view:
+        m = cfg.system.m
+        cfg = replace(cfg, u_nominal=lambda t, xhat: xhat[:m])
+    trace = _assert_equals_reference(cfg)
+    if scenario == "switching":
+        assert trace.qp_feasible[0] and not trace.qp_feasible[-1]
