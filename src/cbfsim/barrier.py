@@ -27,9 +27,8 @@ from .dynamics import ControlAffineSystem, check_finite
 from .fat import AdaptiveState
 from .observer import ErrorBoundModel
 
-# Names kept only because bench/tracer.py rebinds them; nothing here calls them.
-from .dynamics import eval_drift, eval_input_matrix  # noqa: F401
-from .fat import fat_eval  # noqa: F401
+# Names bound only because bench/tracer.py rebinds them; nothing calls them.
+eval_drift = eval_input_matrix = fat_eval = None
 
 Vector = np.ndarray
 

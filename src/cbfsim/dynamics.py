@@ -61,30 +61,6 @@ def check_finite(**values) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-# The checked evaluators below are kept only because bench/tracer.py rebinds
-# them (as simloop and barrier names); no run calls them.
-def _check_state(sys: ControlAffineSystem, x: Vector) -> Vector:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (sys.n,):
-        raise ValueError(f"state has shape {x.shape}, expected ({sys.n},)")
-    return x
-
-
-def eval_drift(sys: ControlAffineSystem, x: Vector) -> Vector:
-    """f(x), shaped (n,)."""
-    return check_shape("drift", sys.drift(_check_state(sys, x)), (sys.n,))
-
-
-def eval_input_matrix(sys: ControlAffineSystem, x: Vector) -> Matrix:
-    """g(x), shaped (n, m)."""
-    return check_shape("input map", sys.input_map(_check_state(sys, x)), (sys.n, sys.m))
-
-
-def eval_output(sys: ControlAffineSystem, x: Vector) -> Vector:
-    """l(x), shaped (k,)."""
-    return check_shape("output map", sys.output_map(_check_state(sys, x)), (sys.k,))
-
-
 def make_example1_system() -> ControlAffineSystem:
     """Linear 3-state plant: dx/dt = A x + B u, y = C x."""
     return ControlAffineSystem(

@@ -53,9 +53,8 @@ class AdaptiveState:
 
     The gains -theta_bar_i^2 / (2 epsilon), mu as a 0-d array and the basis
     terms are derived once per construction, so `dataclasses.replace`
-    recomputes them.
-    `coefficient` and `rhs` do only the math and check nothing;
-    `adaptive_rhs` is the validating entry point for direct callers.
+    recomputes them. `coefficient` and `rhs` do only the math and check
+    nothing.
     """
 
     theta_hat: np.ndarray
@@ -102,9 +101,9 @@ class AdaptiveState:
         return self.theta_hat.shape[0]
 
     def basis_rows(self, ts) -> np.ndarray:
-        """(len(ts), N) array whose row j is [phi_1(ts[j]), ..., phi_N(ts[j])],
-        bit for bit the row of fat.basis_row at ts[j]; ts is a float64 array
-        or a sequence of floats."""
+        """(len(ts), N) array whose row j is [phi_1(ts[j]), ..., phi_N(ts[j])];
+        ts is a float64 array or a sequence of floats. Each row is the same
+        double whether ts holds one time or many."""
         return _basis(self.terms, ts)
 
     def coefficient(self, phis: np.ndarray) -> np.ndarray:
@@ -124,27 +123,5 @@ class AdaptiveState:
         return np.subtract(out, np.multiply(self._mu, theta_hat, scratch), out)
 
 
-def basis_row(N: int, omega: float, t: float) -> Vector:
-    """[phi_1(t), ..., phi_N(t)] as a dense row."""
-    return _basis(_series_terms(N, omega), [t])[0]
-
-
-def fat_eval(state: AdaptiveState, t: float) -> Vector:
-    """Sum of theta_hat_i phi_i(t) over i = 1..N (the i=0 constant term is
-    not part of the estimated series)."""
-    return basis_row(state.N, state.omega, t).dot(state.theta_hat)
-
-
-def adaptive_rhs(state: AdaptiveState, grad: Vector, t: float) -> np.ndarray:
-    """d theta_hat_i / dt = -(theta_bar_i^2 / (2 epsilon)) grad phi_i(t) - mu theta_hat_i.
-
-    grad is the gradient of the deflated barrier with respect to xhat,
-    supplied by the barrier module. Returns an (N, n) array of stacked
-    derivatives.
-    """
-    grad = np.asarray(grad, dtype=float)
-    if grad.shape != (state.theta_hat.shape[1],):
-        raise ValueError("grad length must match the parameter vector length")
-    coef = state.coefficient(basis_row(state.N, state.omega, t))
-    th = state.theta_hat
-    return state.rhs(th, grad, coef, np.empty_like(th), np.empty_like(th))
+# Bound only because bench/tracer.py looks the name up; nothing calls it.
+basis_row = None

@@ -99,11 +99,13 @@ def make_rossler_observer(
         dxhat2/dt = f2(xhat) + s1 e + s2 e^m + u2
         dxhat3/dt = f3(xhat) + r1 e + r2 e^m + u3
 
-    m_exp must be a positive odd integer so the correction is
-    sign-preserving; the arithmetic runs on Python floats.
+    m_exp must be a positive odd integer (a bool is not one) so the
+    correction is sign-preserving; the arithmetic runs on Python floats.
     """
-    if m_exp < 1 or m_exp % 2 == 0:
+    if not (isinstance(m_exp, (int, np.integer)) and not isinstance(m_exp, bool)
+            and m_exp >= 1 and m_exp % 2 == 1):
         raise ValueError("m_exp must be a positive odd integer")
+    m_exp = int(m_exp)
     check_finite(q1=q1, s1=s1, r1=r1, q2=q2, s2=s2, r2=r2)
     field = rossler_field(*params)
 

@@ -31,9 +31,8 @@ from .integrator import OdeProblem, rk4_step, time_grid
 from .observer import EeqObserver
 from .qp import solve_halfspace_qp
 
-# Names kept only because bench/tracer.py rebinds them; the loop calls none.
-from .dynamics import eval_drift, eval_input_matrix, eval_output  # noqa: F401
-from .fat import adaptive_rhs  # noqa: F401
+# Names bound only because bench/tracer.py rebinds them; the loop calls none.
+eval_drift = eval_input_matrix = eval_output = adaptive_rhs = None
 constraint_rd1, epsilon_bound_rd1 = constraint_rdr, epsilon_bound_rdr
 
 Vector = np.ndarray

@@ -37,6 +37,12 @@ def rk4_reference(f, t, state, dt):
     return state + (dt / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
+def law_rhs(law, theta, grad, t):
+    """The adaptive law's (N, n) derivative at time t, allocating:
+    coefficient(phi(t)) grad - mu theta, with the basis row evaluated afresh."""
+    return law.coefficient(law.basis_rows([t])[0]) * grad - law.mu * theta
+
+
 def reference_run(cfg: SimConfig) -> SimTrace:
     """One closed-loop run: per grid time, the row on the estimate, the QP,
     the record, then one RK4 step of (x, xhat[, theta_hat]) with u held.
@@ -56,8 +62,7 @@ def reference_run(cfg: SimConfig) -> SimTrace:
         x, xhat = z[:n], z[n:2 * n]
         dz = [sys_.drift(x) + sys_.input_map(x).dot(u), obs.rhs(xhat, sys_.output_map(x), u, t)]
         if adapts:
-            coef = law.coefficient(law.basis_rows([t])[0])
-            dz.append((coef * chain.grad_s[top](xhat) - law.mu * z[2 * n:].reshape(N, n)).ravel())
+            dz.append(law_rhs(law, z[2 * n:].reshape(N, n), chain.grad_s[top](xhat), t).ravel())
         return np.concatenate(dz)
 
     with np.errstate(all="ignore"):

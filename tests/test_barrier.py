@@ -7,8 +7,7 @@ from hypothesis import strategies as hst
 
 from cbfsim import AdaptiveState, BarrierChain, ErrorBoundModel
 from cbfsim.barrier import ConstraintCoeffs, constraint_rdr, epsilon_bound_rdr
-from cbfsim.dynamics import EXAMPLE1_A, eval_drift, eval_input_matrix, make_example1_system
-from cbfsim.fat import fat_eval
+from cbfsim.dynamics import EXAMPLE1_A, make_example1_system
 from cbfsim.presets import PRESET_NAMES, make_preset
 
 EXP_BOUND = ErrorBoundModel.exponential(D=2.0, lam=-0.05)
@@ -99,7 +98,7 @@ def test_chain_recursion_along_drift():
         for _ in range(50):
             x = rng.normal(scale=3.0, size=3)
             for k in range(1, chain.r):
-                want = (chain.grad_s[k - 1](x) @ eval_drift(sys_, x)
+                want = (chain.grad_s[k - 1](x) @ sys_.drift(x)
                         + lam[k - 1] * chain.s[k - 1](x))
                 assert chain.s[k](x) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
@@ -109,11 +108,11 @@ def test_chain_1c_top_level_carries_the_input():
     rng = np.random.default_rng(6)
     for _ in range(20):
         x = rng.normal(scale=3.0, size=3)
-        a = CHAIN_1C.grad_s[2](x) @ eval_input_matrix(sys_, x)
+        a = CHAIN_1C.grad_s[2](x) @ sys_.input_map(x)
         np.testing.assert_allclose(a, [2.0], rtol=0, atol=1e-14)
         # the lower levels have no control authority
         for k in (0, 1):
-            np.testing.assert_allclose(CHAIN_1C.grad_s[k](x) @ eval_input_matrix(sys_, x),
+            np.testing.assert_allclose(CHAIN_1C.grad_s[k](x) @ sys_.input_map(x),
                                        [0.0], rtol=0, atol=1e-14)
 
 
@@ -215,7 +214,7 @@ def test_constraint_rd1_reduces_to_nominal_row():
     c = _row(H_1A, sys_, XHAT_1A, st, ZERO_BOUND, 0.0)
     grad = H_1A.grad_s[0](XHAT_1A)
     np.testing.assert_allclose(c.a, grad @ np.array([[0.0], [1.0], [1.0]]), atol=1e-14)
-    assert c.b == pytest.approx(grad @ eval_drift(sys_, XHAT_1A), abs=1e-9)
+    assert c.b == pytest.approx(grad @ sys_.drift(XHAT_1A), abs=1e-9)
 
 
 def test_constraint_rd1_uncontrollable_direction():
@@ -242,9 +241,9 @@ def test_constraint_rdr_matches_rd1_on_degenerate_chain():
     c = _row(H_1A, sys_, XHAT_1A, st, EXP_BOUND, t)
     g = grad_h(XHAT_1A)
     M, dM = EXP_BOUND.value(t), EXP_BOUND.derivative(t)
-    want_b = (g @ eval_drift(sys_, XHAT_1A) - dM - 0.1
+    want_b = (g @ sys_.drift(XHAT_1A) - dM - 0.1
               + 3.5 * (h(XHAT_1A) - M - 0.1) - 3.5 * 3 * 0.1)
-    np.testing.assert_allclose(c.a, g @ eval_input_matrix(sys_, XHAT_1A), atol=1e-15)
+    np.testing.assert_allclose(c.a, g @ sys_.input_map(XHAT_1A), atol=1e-15)
     assert c.b == pytest.approx(want_b, abs=1e-12)
 
 
@@ -262,15 +261,16 @@ def test_constraint_rdr_drift_only_reduction():
     sys_ = make_example1_system()
     st = _adaptive(epsilon=1e-12, mu=1e-12)
     c = _row(CHAIN_1B, sys_, XHAT_1B, st, ZERO_BOUND, 0.0)
-    want = CHAIN_1B.grad_s[1](XHAT_1B) @ eval_drift(sys_, XHAT_1B)
+    want = CHAIN_1B.grad_s[1](XHAT_1B) @ sys_.drift(XHAT_1B)
     assert c.b == pytest.approx(want, abs=1e-9)
 
 
 @pytest.mark.parametrize("name", ["example1a", "example1c"])
 def test_lean_row_matches_written_out_formula(name):
     # constraint_rdr on precomputed inputs gives, bit for bit, the row
-    # written out from fat_eval, bound.value, bound.derivative and
-    # np.linalg.norm, on the r = 1 barrier and on the r = 3 chain
+    # written out from the series basis_rows([t])[0] . theta_hat,
+    # bound.value, bound.derivative and np.linalg.norm, on the r = 1
+    # barrier and on the r = 3 chain
     cfg = make_preset(name).cfg
     chain, sys_, bound = cfg.barrier, cfg.system, cfg.observer.bound
     top = chain.r - 1
@@ -295,7 +295,7 @@ def test_lean_row_matches_written_out_formula(name):
         a = grad @ sys_.input_map(xhat)
         deflated = float(s_top(xhat)) - L * float(bound.value(t)) - st.epsilon
         b = float(
-            grad @ (sys_.drift(xhat) + fat_eval(st, t))
+            grad @ (sys_.drift(xhat) + st.basis_rows([t])[0].dot(st.theta_hat))
             - L * float(bound.derivative(t))
             - float(np.linalg.norm(grad)) * st.E
             + st.mu * deflated

@@ -6,9 +6,6 @@ from cbfsim.dynamics import (
     EXAMPLE1_A,
     EXAMPLE1_B,
     EXAMPLE1_C,
-    eval_drift,
-    eval_input_matrix,
-    eval_output,
     make_example1_system,
     make_rossler_system,
 )
@@ -21,32 +18,32 @@ def test_example1_dimensions():
 
 def test_example1_drift_at_origin():
     sys_ = make_example1_system()
-    np.testing.assert_array_equal(eval_drift(sys_, [0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(sys_.drift(np.array([0.0, 0.0, 0.0])), [0.0, 0.0, 0.0])
 
 
 def test_example1_drift_hand_value():
     # A @ [2, 2.2, 2] worked by hand: [-2+4.4-4, -2.2+2, 2-2].
     sys_ = make_example1_system()
-    np.testing.assert_allclose(eval_drift(sys_, [2.0, 2.2, 2.0]), [-1.6, -0.2, 0.0], atol=1e-14)
+    np.testing.assert_allclose(sys_.drift(np.array([2.0, 2.2, 2.0])), [-1.6, -0.2, 0.0], atol=1e-14)
 
 
 def test_example1_drift_first_column():
     sys_ = make_example1_system()
-    np.testing.assert_allclose(eval_drift(sys_, [1.0, 0.0, 0.0]), [-1.0, 0.0, 1.0], atol=1e-15)
+    np.testing.assert_allclose(sys_.drift(np.array([1.0, 0.0, 0.0])), [-1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_example1_input_matrix_constant():
     sys_ = make_example1_system()
     rng = np.random.default_rng(7)
     for _ in range(100):
-        np.testing.assert_array_equal(eval_input_matrix(sys_, rng.normal(size=3)), EXAMPLE1_B)
+        np.testing.assert_array_equal(sys_.input_map(rng.normal(size=3)), EXAMPLE1_B)
 
 
 def test_example1_output():
     sys_ = make_example1_system()
-    np.testing.assert_allclose(eval_output(sys_, [2.0, 2.2, 2.0]), [4.2])
-    np.testing.assert_array_equal(eval_output(sys_, [0.0, 0.0, 5.0]), [0.0])
-    np.testing.assert_allclose(eval_output(sys_, [1.0, 1.0, 0.0]), [2.0])
+    np.testing.assert_allclose(sys_.output_map(np.array([2.0, 2.2, 2.0])), [4.2])
+    np.testing.assert_array_equal(sys_.output_map(np.array([0.0, 0.0, 5.0])), [0.0])
+    np.testing.assert_allclose(sys_.output_map(np.array([1.0, 1.0, 0.0])), [2.0])
 
 
 def test_example1_drift_linearity():
@@ -55,33 +52,33 @@ def test_example1_drift_linearity():
     for _ in range(20):
         x, z = rng.normal(size=3), rng.normal(size=3)
         al, be = rng.normal(), rng.normal()
-        lhs = eval_drift(sys_, al * x + be * z)
-        rhs = al * eval_drift(sys_, x) + be * eval_drift(sys_, z)
+        lhs = sys_.drift(al * x + be * z)
+        rhs = al * sys_.drift(x) + be * sys_.drift(z)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def test_rossler_drift_values():
     sys_ = make_rossler_system(0.2, 0.2, 5.0)
-    np.testing.assert_allclose(eval_drift(sys_, [0.0, 0.0, 0.0]), [0.0, 0.0, 0.2], atol=1e-15)
+    np.testing.assert_allclose(sys_.drift(np.array([0.0, 0.0, 0.0])), [0.0, 0.0, 0.2], atol=1e-15)
     # x3 (x1 - c) vanishes at x1 = c
-    np.testing.assert_allclose(eval_drift(sys_, [5.0, 0.0, 1.0]), [-1.0, 5.0, 0.2], atol=1e-15)
+    np.testing.assert_allclose(sys_.drift(np.array([5.0, 0.0, 1.0])), [-1.0, 5.0, 0.2], atol=1e-15)
 
 
 def test_rossler_origin_equilibrium_when_b_zero():
     sys_ = make_rossler_system(0.2, 0.0, 5.0)
-    np.testing.assert_array_equal(eval_drift(sys_, [0.0, 0.0, 0.0]), [0.0, 0.0, 0.0])
+    np.testing.assert_array_equal(sys_.drift(np.array([0.0, 0.0, 0.0])), [0.0, 0.0, 0.0])
 
 
 def test_rossler_input_matrix_identity():
     sys_ = make_rossler_system(0.2, 0.2, 5.0)
     rng = np.random.default_rng(11)
     for _ in range(100):
-        np.testing.assert_array_equal(eval_input_matrix(sys_, rng.normal(size=3)), np.eye(3))
+        np.testing.assert_array_equal(sys_.input_map(rng.normal(size=3)), np.eye(3))
 
 
 def test_rossler_output_is_x1():
     sys_ = make_rossler_system(0.2, 0.2, 5.0)
-    np.testing.assert_array_equal(eval_output(sys_, [1.0, 2.0, 3.0]), [1.0])
+    np.testing.assert_array_equal(sys_.output_map(np.array([1.0, 2.0, 3.0])), [1.0])
 
 
 def test_zero_input_map_degenerate():
@@ -91,28 +88,7 @@ def test_zero_input_map_degenerate():
         input_map=lambda x: np.zeros((2, 2)),
         output_map=lambda x: x[:1],
     )
-    np.testing.assert_array_equal(eval_input_matrix(sys_, [1.0, 1.0]), np.zeros((2, 2)))
-
-
-def test_dimension_mismatch_rejected():
-    sys_ = make_example1_system()
-    with pytest.raises(ValueError):
-        eval_drift(sys_, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        eval_input_matrix(sys_, [1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        eval_output(sys_, [1.0])
-
-
-def test_input_map_shape_checked():
-    bad = ControlAffineSystem(
-        n=2, m=1, k=1,
-        drift=lambda x: np.zeros(2),
-        input_map=lambda x: np.zeros((3, 1)),
-        output_map=lambda x: x[:1],
-    )
-    with pytest.raises(ValueError):
-        eval_input_matrix(bad, [0.0, 0.0])
+    np.testing.assert_array_equal(sys_.input_map(np.array([1.0, 1.0])), np.zeros((2, 2)))
 
 
 def test_nonpositive_dimensions_rejected():

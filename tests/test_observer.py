@@ -134,9 +134,12 @@ def test_rossler_observer_cubic_term_scales():
 
 def test_rossler_observer_m_exp_validation():
     bound = ErrorBoundModel.constant(1.0)
-    for bad in (0, -3, 2, 4):
-        with pytest.raises(ValueError):
+    # a float, even a whole one, NaN, inf or a bool is not an odd integer
+    for bad in (0, -3, 2, 4, 2.5, 3.0, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="^m_exp must be a positive odd integer$"):
             make_rossler_observer(3.0, -3.0, 3.0, 10.0, 10.0, 10.0, bad, ROSSLER_PARAMS, bound)
+    for good in (1, 3, np.int64(3)):
+        make_rossler_observer(3.0, -3.0, 3.0, 10.0, 10.0, 10.0, good, ROSSLER_PARAMS, bound)
 
 
 def test_non_finite_observer_and_plant_parameters_are_rejected_at_construction():

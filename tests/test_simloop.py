@@ -26,14 +26,14 @@ from cbfsim import (
     run_simulation,
     safety_report,
 )
-from cbfsim import fat, simloop
+from cbfsim import simloop
 from cbfsim.cli import emit_csv, run_preset
 from cbfsim.dynamics import make_example1_system
 from cbfsim.integrator import time_grid
 from cbfsim.observer import make_luenberger
 from cbfsim.presets import LUENBERGER_GAIN
 from cbfsim.simloop import CONTROLLERS, INFEASIBLE_MODES
-from reference_loop import differing_columns, reference_run
+from reference_loop import differing_columns, law_rhs, reference_run
 
 
 def _cfg_1a() -> SimConfig:
@@ -645,9 +645,9 @@ def test_tables_cross_their_block_seams_bit_for_bit(monkeypatch, rows, short):
 @pytest.mark.parametrize("name", ["example1a", "example1c", "example2"])
 def test_loop_law_derivative_equals_the_law_byte_for_byte(monkeypatch, name):
     # every rhs call of a run over two block seams with a shortened last
-    # step: its theta_hat stage derivative is AdaptiveState.rhs and
-    # fat.adaptive_rhs at the time rk4_step passed, to the byte, and it
-    # writes neither its stage input nor the run's initial theta_hat
+    # step: its theta_hat stage derivative is AdaptiveState.rhs and the
+    # reference loop's law_rhs at the time rk4_step passed, to the byte,
+    # and it writes neither its stage input nor the run's initial theta_hat
     calls = []
     problem_cls = simloop.OdeProblem
 
@@ -675,7 +675,7 @@ def test_loop_law_derivative_equals_the_law_byte_for_byte(monkeypatch, name):
         want = law.rhs(theta, grad(xhat), law.coefficient(law.basis_rows([t])[0]),
                        np.empty((N, n)), np.empty((N, n))).tobytes()
         assert k[2 * n:].tobytes() == want, t
-        assert fat.adaptive_rhs(replace(law, theta_hat=theta), grad(xhat), t).tobytes() == want, t
+        assert law_rhs(law, theta, grad(xhat), t).tobytes() == want, t
     assert law.theta_hat.tobytes() == THETA0_OFF_DEFAULT.tobytes()
 
 
